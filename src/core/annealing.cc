@@ -3,14 +3,12 @@
 #include <cmath>
 
 #include "core/local_search.h"
-#include "core/objective.h"
 #include "core/random_schedule.h"
 #include "core/greedy.h"
-#include "util/timer.h"
 
 namespace ses::core {
 
-util::Result<SolverResult> SimulatedAnnealingSolver::DoSolve(
+util::Result<SolveOutcome> SimulatedAnnealingSolver::DoSolve(
     const SesInstance& instance, const SolverOptions& options,
     const SolveContext& context) {
   if (options.initial_temperature <= 0.0) {
@@ -20,8 +18,6 @@ util::Result<SolverResult> SimulatedAnnealingSolver::DoSolve(
   if (options.cooling <= 0.0 || options.cooling >= 1.0) {
     return util::Status::InvalidArgument("cooling must be in (0,1)");
   }
-  util::WallTimer timer;
-
   SolverResult base;
   if (options.base_solver == BaseSolver::kGreedy) {
     GreedySolver greedy;
@@ -35,7 +31,7 @@ util::Result<SolverResult> SimulatedAnnealingSolver::DoSolve(
     base = std::move(seeded).value();
   }
 
-  AttendanceModel model(instance, options.sigma_cache_capacity);
+  AttendanceModel model(instance);
   for (const Assignment& a : base.assignments) {
     model.Apply(a.event, a.interval);
   }
@@ -71,20 +67,12 @@ util::Result<SolverResult> SimulatedAnnealingSolver::DoSolve(
   }
   stats.gain_evaluations = model.gain_evaluations();
 
-  // Report the best schedule visited, re-evaluated exactly.
+  // Report the best schedule visited; Solve() re-evaluates it exactly.
   Schedule schedule(instance);
   for (const Assignment& a : best) {
     SES_CHECK(schedule.Assign(a.event, a.interval).ok());
   }
-
-  SolverResult result;
-  result.assignments = std::move(best);
-  result.utility = TotalUtility(instance, schedule);
-  result.wall_seconds = timer.ElapsedSeconds();
-  result.stats = stats;
-  result.solver = std::string(name());
-  result.termination = std::move(termination);
-  return result;
+  return SolveOutcome{std::move(schedule), stats, std::move(termination)};
 }
 
 }  // namespace ses::core

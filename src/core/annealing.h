@@ -17,7 +17,7 @@ class SimulatedAnnealingSolver final : public Solver {
   std::string_view name() const override { return "anneal"; }
 
  protected:
-  [[nodiscard]] util::Result<SolverResult> DoSolve(const SesInstance& instance,
+  [[nodiscard]] util::Result<SolveOutcome> DoSolve(const SesInstance& instance,
                                      const SolverOptions& options,
                                      const SolveContext& context) override;
 };

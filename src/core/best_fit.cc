@@ -4,30 +4,26 @@
 #include <numeric>
 
 #include "core/attendance.h"
-#include "core/objective.h"
-#include "util/timer.h"
+#include "core/score_gen.h"
 
 namespace ses::core {
 
-util::Result<SolverResult> BestFitSolver::DoSolve(
+util::Result<SolveOutcome> BestFitSolver::DoSolve(
     const SesInstance& instance, const SolverOptions& options,
     const SolveContext& context) {
-  util::WallTimer timer;
-
-  AttendanceModel model(instance, options.sigma_cache_capacity);
+  AttendanceModel model(instance);
   SES_RETURN_IF_ERROR(ApplyWarmStart(model, options.warm_start));
   SolverStats stats;
-  util::Status termination;
 
-  // Pass 1: optimistic per-event priority = best empty-schedule score.
+  // Pass 1: optimistic per-event priority = best empty-schedule score,
+  // a running max over the event's emitted scores.
   std::vector<double> priority(instance.num_events(), 0.0);
-  for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
-    if (context.CheckStop(&termination)) break;
-    for (EventIndex e = 0; e < instance.num_events(); ++e) {
-      if (model.schedule().IsAssigned(e)) continue;  // warm-started
-      priority[e] = std::max(priority[e], model.MarginalGain(e, t));
-    }
-  }
+  const ScoreGenResult generated = GenerateScoredAssignments(
+      instance, options, context, model.schedule(),
+      [&priority](EventIndex e, IntervalIndex, double score) {
+        priority[e] = std::max(priority[e], score);
+      });
+  util::Status termination = generated.termination;
   std::vector<EventIndex> order(instance.num_events());
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(),
@@ -59,16 +55,9 @@ util::Result<SolverResult> BestFitSolver::DoSolve(
     ++stats.pops;
   }
 
-  stats.gain_evaluations = model.gain_evaluations();
-
-  SolverResult result;
-  result.assignments = model.schedule().Assignments();
-  result.utility = TotalUtility(instance, model.schedule());
-  result.wall_seconds = timer.ElapsedSeconds();
-  result.stats = stats;
-  result.solver = std::string(name());
-  result.termination = std::move(termination);
-  return result;
+  stats.gain_evaluations =
+      model.gain_evaluations() + generated.gain_evaluations;
+  return SolveOutcome{model.schedule(), stats, std::move(termination)};
 }
 
 }  // namespace ses::core

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "core/attendance.h"
-#include "core/objective.h"
-#include "util/timer.h"
 
 namespace ses::core {
 
@@ -12,8 +10,8 @@ namespace {
 
 /// DFS state shared across the recursion.
 struct SearchContext {
-  SearchContext(const SesInstance& inst, size_t sigma_cache_capacity)
-      : instance(&inst), model(inst, sigma_cache_capacity) {}
+  explicit SearchContext(const SesInstance& inst)
+      : instance(&inst), model(inst) {}
 
   const SesInstance* instance;
   AttendanceModel model;
@@ -97,12 +95,10 @@ void Dfs(SearchContext& ctx, EventIndex next_event, size_t chosen) {
 
 }  // namespace
 
-util::Result<SolverResult> ExactSolver::DoSolve(const SesInstance& instance,
+util::Result<SolveOutcome> ExactSolver::DoSolve(const SesInstance& instance,
                                                 const SolverOptions& options,
                                                 const SolveContext& context) {
-  util::WallTimer timer;
-
-  SearchContext ctx(instance, options.sigma_cache_capacity);
+  SearchContext ctx(instance);
   ctx.context = &context;
   ctx.k = static_cast<size_t>(options.k);
   ctx.max_nodes = options.max_nodes;
@@ -113,7 +109,7 @@ util::Result<SolverResult> ExactSolver::DoSolve(const SesInstance& instance,
   // the first search node.
   ctx.event_upper_bound.assign(instance.num_events(), 0.0);
   {
-    AttendanceModel probe(instance, options.sigma_cache_capacity);
+    AttendanceModel probe(instance);
     for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
       if (context.CheckStop(&ctx.termination)) break;
       for (EventIndex e = 0; e < instance.num_events(); ++e) {
@@ -156,20 +152,14 @@ util::Result<SolverResult> ExactSolver::DoSolve(const SesInstance& instance,
   // On early termination the incumbent (possibly empty) is the best
   // feasible schedule certified so far — return it rather than erroring.
 
-  SolverResult result;
-  result.assignments = std::move(ctx.best_assignments);
-  // Recompute the utility through the reference objective.
   Schedule schedule(instance);
-  for (const Assignment& a : result.assignments) {
+  for (const Assignment& a : ctx.best_assignments) {
     SES_CHECK(schedule.Assign(a.event, a.interval).ok());
   }
-  result.utility = TotalUtility(instance, schedule);
-  result.wall_seconds = timer.ElapsedSeconds();
-  result.stats.nodes = ctx.nodes;
-  result.stats.gain_evaluations = ctx.model.gain_evaluations();
-  result.solver = std::string(name());
-  result.termination = std::move(ctx.termination);
-  return result;
+  SolverStats stats;
+  stats.nodes = ctx.nodes;
+  stats.gain_evaluations = ctx.model.gain_evaluations();
+  return SolveOutcome{std::move(schedule), stats, std::move(ctx.termination)};
 }
 
 }  // namespace ses::core

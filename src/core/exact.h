@@ -31,7 +31,7 @@ class ExactSolver final : public Solver {
   std::string_view name() const override { return "exact"; }
 
  protected:
-  [[nodiscard]] util::Result<SolverResult> DoSolve(const SesInstance& instance,
+  [[nodiscard]] util::Result<SolveOutcome> DoSolve(const SesInstance& instance,
                                      const SolverOptions& options,
                                      const SolveContext& context) override;
 };

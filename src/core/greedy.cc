@@ -3,9 +3,7 @@
 #include <algorithm>
 
 #include "core/attendance.h"
-#include "core/objective.h"
 #include "core/score_gen.h"
-#include "util/timer.h"
 
 namespace ses::core {
 
@@ -20,26 +18,23 @@ struct ScoredAssignment {
 
 }  // namespace
 
-util::Result<SolverResult> GreedySolver::DoSolve(
+util::Result<SolveOutcome> GreedySolver::DoSolve(
     const SesInstance& instance, const SolverOptions& options,
     const SolveContext& context) {
-  util::WallTimer timer;
-
-  AttendanceModel model(instance, options.sigma_cache_capacity);
+  AttendanceModel model(instance);
   SES_RETURN_IF_ERROR(ApplyWarmStart(model, options.warm_start));
   SolverStats stats;
   util::Status termination;
 
   // Algorithm 1, lines 2-4: generate all assignments with their scores.
   // GenerateScoredAssignments emits in serial t-major order at every
-  // SolverOptions::threads value (in place on `model` when serial,
-  // sharded engines into a grid otherwise), so L is byte-identical
-  // across thread counts (tests/core_parallel_solve_test.cc pins this).
+  // SolverOptions::threads value, so L is byte-identical across thread
+  // counts (tests/core_parallel_solve_test.cc pins this).
   std::vector<ScoredAssignment> list;
   list.reserve(static_cast<size_t>(instance.num_events()) *
                instance.num_intervals());
   const ScoreGenResult generated = GenerateScoredAssignments(
-      instance, options, context, model,
+      instance, options, context, model.schedule(),
       [&list](EventIndex e, IntervalIndex t, double score) {
         list.push_back({e, t, score});
       });
@@ -81,21 +76,12 @@ util::Result<SolverResult> GreedySolver::DoSolve(
     list.resize(write);
   }
 
-  // Sharded generation ran on shard-private engines; fold their
-  // evaluation count into the main model's so the total matches the
-  // serial single-model accounting exactly (zero on the serial path,
-  // where the main model scored everything itself).
+  // Generation ran on shard-private engines; fold their evaluation
+  // count into the main model's update-pass count.
   stats.gain_evaluations =
       model.gain_evaluations() + generated.gain_evaluations;
 
-  SolverResult result;
-  result.assignments = model.schedule().Assignments();
-  result.utility = TotalUtility(instance, model.schedule());
-  result.wall_seconds = timer.ElapsedSeconds();
-  result.stats = stats;
-  result.solver = std::string(name());
-  result.termination = std::move(termination);
-  return result;
+  return SolveOutcome{model.schedule(), stats, std::move(termination)};
 }
 
 }  // namespace ses::core

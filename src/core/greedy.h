@@ -25,7 +25,7 @@ class GreedySolver final : public Solver {
   std::string_view name() const override { return "grd"; }
 
  protected:
-  [[nodiscard]] util::Result<SolverResult> DoSolve(const SesInstance& instance,
+  [[nodiscard]] util::Result<SolveOutcome> DoSolve(const SesInstance& instance,
                                      const SolverOptions& options,
                                      const SolveContext& context) override;
 };

@@ -1,6 +1,7 @@
 #include "core/instance.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -120,16 +121,19 @@ util::Result<SesInstance> InstanceBuilder::Build() {
     return util::Status::InvalidArgument(
         "instance needs at least one interval");
   }
-  if (theta_ < 0.0) {
-    return util::Status::InvalidArgument("theta must be non-negative");
+  if (!std::isfinite(theta_) || theta_ < 0.0) {
+    return util::Status::InvalidArgument(
+        "theta must be finite and non-negative");
   }
   if (sigma_ == nullptr) {
     return util::Status::InvalidArgument("sigma provider not set");
   }
   for (size_t e = 0; e < events_.size(); ++e) {
-    if (events_[e].required_resources < 0.0) {
-      return util::Status::InvalidArgument(
-          util::StrFormat("event %zu: negative required resources", e));
+    const double resources = events_[e].required_resources;
+    if (!std::isfinite(resources) || resources < 0.0) {
+      return util::Status::InvalidArgument(util::StrFormat(
+          "event %zu: required resources must be finite and non-negative",
+          e));
     }
     SES_RETURN_IF_ERROR(ValidateRow(event_rows_[e].entries, "event", e));
   }

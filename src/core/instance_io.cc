@@ -1,6 +1,7 @@
 #include "core/instance_io.h"
 
 #include <cstring>
+#include <limits>
 #include <map>
 
 #include "util/csv.h"
@@ -21,6 +22,23 @@ Result<int64_t> RequireInt(const std::map<std::string, std::string>& meta,
     return Status::ParseError("meta.csv missing key: " + key);
   }
   return util::ParseInt64(it->second);
+}
+
+/// A dimension count (users, intervals): range-checked against
+/// [1, UINT32_MAX] before the narrowing cast, so a negative or oversized
+/// value is a typed error instead of a wrapped-around allocation size.
+Result<uint32_t> RequireCount(const std::map<std::string, std::string>& meta,
+                              const std::string& key) {
+  auto value = RequireInt(meta, key);
+  if (!value.ok()) return value.status();
+  if (value.value() < 1 ||
+      value.value() > std::numeric_limits<uint32_t>::max()) {
+    return Status::OutOfRange(util::StrFormat(
+        "meta.csv: %s=%lld outside [1, %u]", key.c_str(),
+        static_cast<long long>(value.value()),
+        std::numeric_limits<uint32_t>::max()));
+  }
+  return static_cast<uint32_t>(value.value());
 }
 
 Result<double> RequireDouble(const std::map<std::string, std::string>& meta,
@@ -128,9 +146,9 @@ Result<SesInstance> LoadInstance(const std::string& dir) {
       meta[row[0]] = row[1];
     }
   }
-  auto users = RequireInt(meta, "users");
+  auto users = RequireCount(meta, "users");
   if (!users.ok()) return users.status();
-  auto intervals = RequireInt(meta, "intervals");
+  auto intervals = RequireCount(meta, "intervals");
   if (!intervals.ok()) return intervals.status();
   auto theta = RequireDouble(meta, "theta");
   if (!theta.ok()) return theta.status();
@@ -223,8 +241,8 @@ Result<SesInstance> LoadInstance(const std::string& dir) {
 
   // --- assemble -----------------------------------------------------------
   InstanceBuilder builder;
-  builder.SetNumUsers(static_cast<uint32_t>(users.value()))
-      .SetNumIntervals(static_cast<uint32_t>(intervals.value()))
+  builder.SetNumUsers(users.value())
+      .SetNumIntervals(intervals.value())
       .SetTheta(theta.value())
       .SetSigma(spec.Instantiate());
   for (size_t e = 0; e < events.size(); ++e) {

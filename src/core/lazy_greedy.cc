@@ -3,9 +3,7 @@
 #include <queue>
 
 #include "core/attendance.h"
-#include "core/objective.h"
 #include "core/score_gen.h"
-#include "util/timer.h"
 
 namespace ses::core {
 
@@ -27,12 +25,10 @@ struct HeapLess {
 
 }  // namespace
 
-util::Result<SolverResult> LazyGreedySolver::DoSolve(
+util::Result<SolveOutcome> LazyGreedySolver::DoSolve(
     const SesInstance& instance, const SolverOptions& options,
     const SolveContext& context) {
-  util::WallTimer timer;
-
-  AttendanceModel model(instance, options.sigma_cache_capacity);
+  AttendanceModel model(instance);
   SES_RETURN_IF_ERROR(ApplyWarmStart(model, options.warm_start));
   SolverStats stats;
   util::Status termination;
@@ -49,7 +45,7 @@ util::Result<SolverResult> LazyGreedySolver::DoSolve(
     init.reserve(static_cast<size_t>(instance.num_events()) *
                  instance.num_intervals());
     generated = GenerateScoredAssignments(
-        instance, options, context, model,
+        instance, options, context, model.schedule(),
         [&init](EventIndex e, IntervalIndex t, double score) {
           init.push_back({score, e, t, 0});
         });
@@ -84,20 +80,11 @@ util::Result<SolverResult> LazyGreedySolver::DoSolve(
     ++interval_version[top.interval];
   }
 
-  // Shard-private generation engines + the selection-phase model add up
-  // to the serial single-model evaluation count (the shard term is zero
-  // on the serial path, where the main model scored everything itself).
+  // Shard-private generation engines + the selection-phase model.
   stats.gain_evaluations =
       model.gain_evaluations() + generated.gain_evaluations;
 
-  SolverResult result;
-  result.assignments = model.schedule().Assignments();
-  result.utility = TotalUtility(instance, model.schedule());
-  result.wall_seconds = timer.ElapsedSeconds();
-  result.stats = stats;
-  result.solver = std::string(name());
-  result.termination = std::move(termination);
-  return result;
+  return SolveOutcome{model.schedule(), stats, std::move(termination)};
 }
 
 }  // namespace ses::core

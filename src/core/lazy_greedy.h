@@ -30,7 +30,7 @@ class LazyGreedySolver final : public Solver {
   std::string_view name() const override { return "lazy"; }
 
  protected:
-  [[nodiscard]] util::Result<SolverResult> DoSolve(const SesInstance& instance,
+  [[nodiscard]] util::Result<SolveOutcome> DoSolve(const SesInstance& instance,
                                      const SolverOptions& options,
                                      const SolveContext& context) override;
 };

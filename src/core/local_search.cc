@@ -3,9 +3,7 @@
 #include <functional>
 
 #include "core/greedy.h"
-#include "core/objective.h"
 #include "core/random_schedule.h"
-#include "util/timer.h"
 
 namespace ses::core {
 
@@ -111,11 +109,9 @@ bool MoveEngine::TryRandomMove(
   return TrySwap(accept, accepted);
 }
 
-util::Result<SolverResult> LocalSearchSolver::DoSolve(
+util::Result<SolveOutcome> LocalSearchSolver::DoSolve(
     const SesInstance& instance, const SolverOptions& options,
     const SolveContext& context) {
-  util::WallTimer timer;
-
   // Seed schedule. The context is threaded through, so an expiring
   // deadline leaves a partial (still feasible) seed to improve on.
   SolverResult base;
@@ -131,7 +127,7 @@ util::Result<SolverResult> LocalSearchSolver::DoSolve(
     base = std::move(seeded).value();
   }
 
-  AttendanceModel model(instance, options.sigma_cache_capacity);
+  AttendanceModel model(instance);
   for (const Assignment& a : base.assignments) {
     model.Apply(a.event, a.interval);
   }
@@ -151,14 +147,7 @@ util::Result<SolverResult> LocalSearchSolver::DoSolve(
   }
   stats.gain_evaluations = model.gain_evaluations();
 
-  SolverResult result;
-  result.assignments = model.schedule().Assignments();
-  result.utility = TotalUtility(instance, model.schedule());
-  result.wall_seconds = timer.ElapsedSeconds();
-  result.stats = stats;
-  result.solver = std::string(name());
-  result.termination = std::move(termination);
-  return result;
+  return SolveOutcome{model.schedule(), stats, std::move(termination)};
 }
 
 }  // namespace ses::core

@@ -59,44 +59,9 @@ ScoreGenResult GenerateAssignmentScores(const SesInstance& instance,
 
   ScoreGenResult result;
 
-  // Resolve the shard budget: 1 = serial, 0 = every available lane.
-  size_t max_shards;
-  if (options.threads == 1) {
-    max_shards = 1;
-  } else if (options.threads == 0) {
-    max_shards = 0;  // ParallelForShards: workers + caller
-  } else {
-    max_shards = static_cast<size_t>(options.threads);
-  }
-
-  if (max_shards == 1 || num_intervals <= 1) {
-    // Serial reference path: one model, no pool.
-    AttendanceModel model(instance, options.sigma_cache_capacity);
-    SES_CHECK(ApplyWarmStart(model, options.warm_start).ok())
-        << "warm start must be validated before score generation";
-    result.gain_evaluations = ScoreRange(instance, model, context, 0,
-                                         num_intervals, scores,
-                                         &result.termination);
-    return result;
-  }
-
-  util::ThreadPool* pool = options.pool;
-  std::unique_ptr<util::ThreadPool> local_pool;
-  if (pool == nullptr) {
-    // Transient pool for direct Solver::Solve callers without one; the
-    // caller participates in shard execution, hence the -1 (also for
-    // threads == 0, where "all lanes" means hardware_concurrency lanes
-    // total, not hardware_concurrency workers plus the caller). Lanes
-    // are capped at the core count: more shards than cores only adds
-    // thread-spawn cost, never speed, and an absurd threads value must
-    // not translate into that many OS threads.
-    const size_t hw = std::max<size_t>(2, std::thread::hardware_concurrency());
-    const size_t lanes =
-        max_shards == 0 ? hw : std::min<size_t>(max_shards, hw);
-    local_pool =
-        std::make_unique<util::ThreadPool>(std::max<size_t>(1, lanes - 1));
-    pool = local_pool.get();
-  }
+  // The shard budget; 0 = every available lane (ParallelForShards:
+  // workers + caller). ValidateSolverOptions rejects negative values.
+  const size_t max_shards = static_cast<size_t>(options.threads);
 
   std::atomic<uint64_t> evaluations{0};
   /// Cross-shard stop aggregation; a named struct so the guarded-by
@@ -106,24 +71,49 @@ ScoreGenResult GenerateAssignmentScores(const SesInstance& instance,
     util::Mutex mutex;
     util::Status first_stop SES_GUARDED_BY(mutex);
   } stop;
-  pool->ParallelForShards(
-      0, num_intervals, max_shards, [&](size_t lo, size_t hi) {
-        // One private model per shard: AttendanceModel keeps per-interval
-        // scratch and is not shareable across threads. Replaying the
-        // validated warm start puts every model in the exact schedule
-        // state the serial pass scores under.
-        AttendanceModel model(instance, options.sigma_cache_capacity);
-        SES_CHECK(ApplyWarmStart(model, options.warm_start).ok())
-            << "warm start must be validated before score generation";
-        util::Status termination;
-        evaluations.fetch_add(ScoreRange(instance, model, context, lo, hi,
-                                         scores, &termination),
-                              std::memory_order_relaxed);
-        if (!termination.ok()) {
-          util::MutexLock lock(stop.mutex);
-          if (stop.first_stop.ok()) stop.first_stop = std::move(termination);
-        }
-      });
+  const auto score_shard = [&](size_t lo, size_t hi) {
+    // One private model per shard: AttendanceModel keeps per-interval
+    // scratch and is not shareable across threads. Replaying the
+    // validated warm start puts every model in the exact schedule
+    // state the caller scores under.
+    AttendanceModel model(instance);
+    SES_CHECK(ApplyWarmStart(model, options.warm_start).ok())
+        << "warm start must be validated before score generation";
+    util::Status termination;
+    evaluations.fetch_add(ScoreRange(instance, model, context, lo, hi,
+                                     scores, &termination),
+                          std::memory_order_relaxed);
+    if (!termination.ok()) {
+      util::MutexLock lock(stop.mutex);
+      if (stop.first_stop.ok()) stop.first_stop = std::move(termination);
+    }
+  };
+
+  if (max_shards == 1 || num_intervals <= 1) {
+    // One shard: run it inline on the calling thread, no pool.
+    score_shard(0, num_intervals);
+  } else {
+    util::ThreadPool* pool = options.pool;
+    std::unique_ptr<util::ThreadPool> local_pool;
+    if (pool == nullptr) {
+      // Transient pool for direct Solver::Solve callers without one; the
+      // caller participates in shard execution, hence the -1 (also for
+      // threads == 0, where "all lanes" means hardware_concurrency lanes
+      // total, not hardware_concurrency workers plus the caller). Lanes
+      // are capped at the core count: more shards than cores only adds
+      // thread-spawn cost, never speed, and an absurd threads value must
+      // not translate into that many OS threads.
+      const size_t hw =
+          std::max<size_t>(2, std::thread::hardware_concurrency());
+      const size_t lanes =
+          max_shards == 0 ? hw : std::min<size_t>(max_shards, hw);
+      local_pool =
+          std::make_unique<util::ThreadPool>(std::max<size_t>(1, lanes - 1));
+      pool = local_pool.get();
+    }
+    pool->ParallelForShards(0, num_intervals, max_shards, score_shard);
+  }
+
   result.gain_evaluations = evaluations.load();
   {
     // ParallelForShards is a barrier, but take the lock for the fan-in
@@ -138,34 +128,18 @@ ScoreGenResult GenerateAssignmentScores(const SesInstance& instance,
 ScoreGenResult GenerateScoredAssignments(const SesInstance& instance,
                                          const SolverOptions& options,
                                          const SolveContext& context,
-                                         AttendanceModel& model,
+                                         const Schedule& schedule,
                                          const ScoreEmit& emit) {
-  ScoreGenResult result;
   const size_t num_events = instance.num_events();
-
-  if (options.threads == 1) {
-    // Serial reference path: score in place on the caller's model (which
-    // counts the evaluations itself — result.gain_evaluations stays 0).
-    for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
-      if (context.CheckStop(&result.termination)) break;
-      for (EventIndex e = 0; e < num_events; ++e) {
-        if (model.schedule().IsAssigned(e)) continue;  // warm-started
-        emit(e, t, model.MarginalGain(e, t));
-      }
-    }
-    return result;
-  }
-
   std::vector<double> scores(
       static_cast<size_t>(instance.num_intervals()) * num_events);
-  result = GenerateAssignmentScores(instance, options, context, scores);
-  for (IntervalIndex t = 0;
-       result.termination.ok() && t < instance.num_intervals(); ++t) {
-    // Assembly is O(|E|·|T|) too; keep polling at interval boundaries so
-    // cancellation stays responsive between generation and selection.
-    if (context.CheckStop(&result.termination)) break;
+  ScoreGenResult result =
+      GenerateAssignmentScores(instance, options, context, scores);
+  // A stopped pass covers only a prefix of the grid; emit nothing.
+  if (!result.termination.ok()) return result;
+  for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
     for (EventIndex e = 0; e < num_events; ++e) {
-      if (model.schedule().IsAssigned(e)) continue;  // warm-started
+      if (schedule.IsAssigned(e)) continue;  // warm-started
       emit(e, t, scores[static_cast<size_t>(t) * num_events + e]);
     }
   }

@@ -1,7 +1,9 @@
 #include "core/solver.h"
 
+#include "core/objective.h"
 #include "core/validate.h"
 #include "util/string_util.h"
+#include "util/timer.h"
 
 namespace ses::core {
 
@@ -9,7 +11,18 @@ util::Result<SolverResult> Solver::Solve(const SesInstance& instance,
                                          const SolverOptions& options,
                                          const SolveContext& context) {
   SES_RETURN_IF_ERROR(ValidateSolverOptions(instance, options));
-  return DoSolve(instance, options, context);
+  util::WallTimer timer;
+  util::Result<SolveOutcome> outcome = DoSolve(instance, options, context);
+  if (!outcome.ok()) return outcome.status();
+
+  SolverResult result;
+  result.assignments = outcome->schedule.Assignments();
+  result.utility = TotalUtility(instance, outcome->schedule);
+  result.wall_seconds = timer.ElapsedSeconds();
+  result.stats = outcome->stats;
+  result.solver = std::string(name());
+  result.termination = std::move(outcome->termination);
+  return result;
 }
 
 util::Status ValidateSolverOptions(const SesInstance& instance,

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/instance.h"
+#include "core/schedule.h"
 #include "core/solve_context.h"
 #include "core/types.h"
 #include "util/status.h"
@@ -53,23 +54,13 @@ struct SolverOptions {
   /// Exact solver: node budget before giving up with ResourceExhausted.
   uint64_t max_nodes = 50000000;
 
-  /// Intra-solver parallelism for assignment-score generation (GRD and
-  /// lazy greedy): the maximum number of generation shards. 1 (default)
-  /// is the serial reference path; 0 means one shard per available lane
-  /// (pool workers plus the calling thread); N > 1 caps the shard count
-  /// at N. Results are bit-identical to the serial path regardless of
-  /// this value — only wall-clock time changes.
+  /// Intra-solver parallelism for assignment-score generation (the four
+  /// constructive solvers grd, lazy, top and bestfit): the maximum
+  /// number of generation shards. 1 (default) scores on one shard on the
+  /// calling thread; 0 means one shard per available lane (pool workers
+  /// plus the calling thread); N > 1 caps the shard count at N. Results
+  /// are bit-identical at every value — only wall-clock time changes.
   int64_t threads = 1;
-
-  /// Memory bound for AttendanceModel's per-interval sigma/competing
-  /// cache: at most this many intervals keep materialized cache entries
-  /// (least-recently-loaded evicted beyond that). 0 = unlimited, the
-  /// historical behavior. A materialized entry costs up to |U| floats
-  /// plus the interval's competing masses, so move-based solvers on
-  /// paper-scale instances can hold |T|·|U| floats per model without a
-  /// cap. Purely a memory/speed trade: results are bit-identical at any
-  /// capacity (tests/core_sigma_cache_test.cc pins capacity 2).
-  size_t sigma_cache_capacity = 0;
 
   /// Borrowed pool for score-generation shards; not owned, may be null.
   /// api::Scheduler fills this in with its own pool for requests that
@@ -116,13 +107,27 @@ struct SolverResult {
   util::Status termination;
 };
 
+/// What a solver implementation hands back to Solver::Solve.
+struct SolveOutcome {
+  /// The schedule as the solver built it. Solve() sums the reference
+  /// utility over it in this order, so EventsAt(t) order matters for the
+  /// last bits of SolverResult::utility.
+  Schedule schedule;
+  /// Work counters.
+  SolverStats stats;
+  /// See SolverResult::termination.
+  util::Status termination;
+};
+
 /// Abstract solver.
 ///
-/// Callers use the non-virtual Solve(), which validates options and then
-/// dispatches to the implementation. Passing a SolveContext bounds the
-/// run: every solver polls it at iteration boundaries and, on expiry or
-/// cancellation, returns the best feasible schedule found so far with
-/// SolverResult::termination set (the Result itself stays OK).
+/// Callers use the non-virtual Solve(), which validates options,
+/// dispatches to the implementation and assembles the SolverResult
+/// (sorted assignments, reference utility, wall time, solver name).
+/// Passing a SolveContext bounds the run: every solver polls it at
+/// iteration boundaries and, on expiry or cancellation, returns the best
+/// feasible schedule found so far with SolverResult::termination set
+/// (the Result itself stays OK).
 class Solver {
  public:
   virtual ~Solver() = default;
@@ -138,7 +143,7 @@ class Solver {
 
  protected:
   /// Implementation hook; options are already validated.
-  [[nodiscard]] virtual util::Result<SolverResult> DoSolve(
+  [[nodiscard]] virtual util::Result<SolveOutcome> DoSolve(
       const SesInstance& instance, const SolverOptions& options,
       const SolveContext& context) = 0;
 };

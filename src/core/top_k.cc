@@ -3,20 +3,16 @@
 #include <algorithm>
 
 #include "core/attendance.h"
-#include "core/objective.h"
-#include "util/timer.h"
+#include "core/score_gen.h"
 
 namespace ses::core {
 
-util::Result<SolverResult> TopKSolver::DoSolve(const SesInstance& instance,
+util::Result<SolveOutcome> TopKSolver::DoSolve(const SesInstance& instance,
                                                const SolverOptions& options,
                                                const SolveContext& context) {
-  util::WallTimer timer;
-
-  AttendanceModel model(instance, options.sigma_cache_capacity);
+  AttendanceModel model(instance);
   SES_RETURN_IF_ERROR(ApplyWarmStart(model, options.warm_start));
   SolverStats stats;
-  util::Status termination;
 
   struct Entry {
     EventIndex event;
@@ -26,28 +22,21 @@ util::Result<SolverResult> TopKSolver::DoSolve(const SesInstance& instance,
   std::vector<Entry> entries;
   entries.reserve(static_cast<size_t>(instance.num_events()) *
                   instance.num_intervals());
-  for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
-    if (context.CheckStop(&termination)) break;
-    for (EventIndex e = 0; e < instance.num_events(); ++e) {
-      if (model.schedule().IsAssigned(e)) continue;  // warm-started
-      entries.push_back({e, t, model.MarginalGain(e, t)});
-    }
-  }
-  // Sorting and walking only happen on a complete ranking (a truncated
-  // one would be biased toward low intervals, and sorting it after the
-  // budget expired would be pure wasted work).
-  if (termination.ok()) {
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry& a, const Entry& b) {
-                return a.score > b.score;
-              });
-  }
+  const ScoreGenResult generated = GenerateScoredAssignments(
+      instance, options, context, model.schedule(),
+      [&entries](EventIndex e, IntervalIndex t, double score) {
+        entries.push_back({e, t, score});
+      });
+  util::Status termination = generated.termination;
+  // A stopped generation pass emits nothing, so a truncated ranking is
+  // never sorted or walked.
+  std::sort(entries.begin(), entries.end(),
+            [](const Entry& a, const Entry& b) { return a.score > b.score; });
 
   // Entries are cheap to skip, so the context is polled on a stride.
   const size_t k = static_cast<size_t>(options.k);
   uint64_t polls = 0;
   for (const Entry& entry : entries) {
-    if (!termination.ok()) break;
     if ((polls++ & 63) == 0 && context.CheckStop(&termination)) break;
     context.CountWork(1);
     if (model.schedule().size() >= k) break;
@@ -56,16 +45,9 @@ util::Result<SolverResult> TopKSolver::DoSolve(const SesInstance& instance,
     model.Apply(entry.event, entry.interval);
   }
 
-  stats.gain_evaluations = model.gain_evaluations();
-
-  SolverResult result;
-  result.assignments = model.schedule().Assignments();
-  result.utility = TotalUtility(instance, model.schedule());
-  result.wall_seconds = timer.ElapsedSeconds();
-  result.stats = stats;
-  result.solver = std::string(name());
-  result.termination = std::move(termination);
-  return result;
+  stats.gain_evaluations =
+      model.gain_evaluations() + generated.gain_evaluations;
+  return SolveOutcome{model.schedule(), stats, std::move(termination)};
 }
 
 }  // namespace ses::core

@@ -19,7 +19,7 @@ class TopKSolver final : public Solver {
   std::string_view name() const override { return "top"; }
 
  protected:
-  [[nodiscard]] util::Result<SolverResult> DoSolve(const SesInstance& instance,
+  [[nodiscard]] util::Result<SolveOutcome> DoSolve(const SesInstance& instance,
                                      const SolverOptions& options,
                                      const SolveContext& context) override;
 };

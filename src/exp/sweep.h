@@ -38,9 +38,9 @@ using ConfigFactory =
 /// callers serial so parallelism — which perturbs the `seconds`
 /// aggregates under CPU contention — stays opt-in). Per-cell seeding
 /// makes the utility aggregates identical for every worker count.
-/// \p solver_threads is forwarded to SolverOptions::threads (grd/lazy
-/// score-generation shards); utility aggregates are bit-identical at any
-/// value.
+/// \p solver_threads is forwarded to SolverOptions::threads
+/// (grd/lazy/top/bestfit score-generation shards); utility aggregates
+/// are bit-identical at any value.
 [[nodiscard]] util::Result<std::vector<SweepCell>> RunRepeatedSweep(
     const WorkloadFactory& factory, const std::vector<int64_t>& xs,
     const ConfigFactory& make_config,

@@ -148,6 +148,60 @@ TEST_F(InstanceIoTest, OutOfRangeTripletFails) {
   EXPECT_EQ(loaded.status().code(), util::StatusCode::kOutOfRange);
 }
 
+/// Overwrites the value column of every row of \p file whose first cell
+/// is \p key with \p value: the hand-edited or corrupted input an ingest
+/// path must reject with a typed error.
+void OverwriteCell(const std::filesystem::path& dir, const std::string& file,
+                   const std::string& key, size_t column,
+                   const std::string& value) {
+  const std::string path = (dir / file).string();
+  util::CsvRow header;
+  auto rows = util::ReadCsvFile(path, true, &header);
+  ASSERT_TRUE(rows.ok());
+  for (util::CsvRow& row : *rows) {
+    if (row[0] == key) row[column] = value;
+  }
+  ASSERT_TRUE(util::WriteCsvFile(path, header, *rows).ok());
+}
+
+/// Saves a default random instance, corrupts one cell, and expects
+/// LoadInstance to fail with \p code.
+void ExpectCorruptCellRejected(const std::filesystem::path& dir,
+                               const std::string& file,
+                               const std::string& key, size_t column,
+                               const std::string& value,
+                               util::StatusCode code) {
+  ASSERT_TRUE(SaveInstance(test::MakeRandomInstance({}), SigmaSpec(),
+                           dir.string())
+                  .ok());
+  OverwriteCell(dir, file, key, column, value);
+  auto loaded = LoadInstance(dir.string());
+  ASSERT_FALSE(loaded.ok()) << file << " " << key << "=" << value;
+  EXPECT_EQ(loaded.status().code(), code) << loaded.status().ToString();
+}
+
+TEST_F(InstanceIoTest, NonFiniteThetaIsRejected) {
+  for (const char* theta : {"nan", "inf"}) {
+    ExpectCorruptCellRejected(dir_, "meta.csv", "theta", 1, theta,
+                              util::StatusCode::kInvalidArgument);
+  }
+}
+
+TEST_F(InstanceIoTest, NonFiniteResourcesAreRejected) {
+  ExpectCorruptCellRejected(dir_, "events.csv", "0", 2, "nan",
+                            util::StatusCode::kInvalidArgument);
+}
+
+TEST_F(InstanceIoTest, NegativeUserCountIsRejected) {
+  ExpectCorruptCellRejected(dir_, "meta.csv", "users", 1, "-5",
+                            util::StatusCode::kOutOfRange);
+}
+
+TEST_F(InstanceIoTest, UserCountAboveUint32IsRejected) {
+  ExpectCorruptCellRejected(dir_, "meta.csv", "users", 1, "4000000000000",
+                            util::StatusCode::kOutOfRange);
+}
+
 TEST(SigmaSpecTest, InstantiateMatchesKind) {
   SigmaSpec const_spec;
   const_spec.kind = SigmaSpec::Kind::kConst;

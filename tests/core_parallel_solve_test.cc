@@ -1,5 +1,6 @@
-/// Serial-vs-parallel determinism of the constructive solvers: GRD and
-/// lazy greedy must return bit-identical SolverResults at 1 and N
+/// Serial-vs-parallel determinism of the four constructive solvers (grd,
+/// lazy, top, bestfit), which all score through the shared generation
+/// stage: each must return bit-identical SolverResults at 1 and N
 /// score-generation threads (SolverOptions::threads), with or without a
 /// shared pool, and when fanned out through api::Scheduler — the
 /// nested-ParallelFor scenario the thread-pool re-entrancy fix enables.
@@ -19,6 +20,10 @@
 
 namespace ses::core {
 namespace {
+
+/// The solvers whose initial scores come from GenerateScoredAssignments.
+constexpr const char* kConstructiveSolvers[] = {"grd", "lazy", "top",
+                                                "bestfit"};
 
 SesInstance MakeInstance(uint64_t seed) {
   test::RandomInstanceConfig config;
@@ -74,7 +79,7 @@ TEST_P(ParallelSolveTest, GreedyAndLazyMatchSerialAtAnyThreadCount) {
   const SesInstance instance = MakeInstance(GetParam());
   util::ThreadPool pool(3);
 
-  for (const char* name : {"grd", "lazy"}) {
+  for (const char* name : kConstructiveSolvers) {
     auto solver = MakeSolver(name);
     ASSERT_TRUE(solver.ok());
 
@@ -116,7 +121,7 @@ TEST_P(ParallelSolveTest, WarmStartedParallelRunsMatchSerial) {
   ASSERT_TRUE(prefix.ok());
 
   util::ThreadPool pool(3);
-  for (const char* name : {"grd", "lazy"}) {
+  for (const char* name : kConstructiveSolvers) {
     auto solver = MakeSolver(name);
     ASSERT_TRUE(solver.ok());
     SolverOptions options;
@@ -144,7 +149,8 @@ TEST_P(ParallelSolveTest, SchedulerBatchWithIntraSolverShardsMatchesSerial) {
   api::Scheduler scheduler(api::SchedulerOptions{.num_threads = 3});
 
   std::vector<api::SolveRequest> requests;
-  for (const char* name : {"grd", "lazy", "grd", "lazy"}) {
+  for (const char* name :
+       {"grd", "lazy", "top", "bestfit", "grd", "lazy", "top", "bestfit"}) {
     api::SolveRequest request;
     request.solver = name;
     request.options.k = 8;

@@ -4,6 +4,7 @@
 #include "core/lazy_greedy.h"
 #include "core/objective.h"
 #include "core/random_schedule.h"
+#include "core/registry.h"
 #include "core/top_k.h"
 #include "core/validate.h"
 #include "tests/test_util.h"
@@ -18,8 +19,8 @@ SolverOptions OptionsWithK(int64_t k, uint64_t seed = 1) {
   return options;
 }
 
-/// Seed-parameterized battery shared by the three paper methods plus the
-/// lazy variant.
+/// Seed-parameterized battery: the catalog-wide properties run over every
+/// registered solver, the rest over the paper's methods and lazy greedy.
 class SolverPropertyTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   SesInstance MakeInstance() const {
@@ -37,36 +38,37 @@ TEST_P(SolverPropertyTest, AllSolversProduceFeasibleKSchedules) {
   const SesInstance instance = MakeInstance();
   const SolverOptions options = OptionsWithK(4, GetParam());
 
-  GreedySolver grd;
-  LazyGreedySolver lazy;
-  TopKSolver top;
-  RandomSolver rand;
-  for (Solver* solver :
-       std::initializer_list<Solver*>{&grd, &lazy, &top, &rand}) {
-    auto result = solver->Solve(instance, options);
-    ASSERT_TRUE(result.ok()) << solver->name() << ": "
-                             << result.status().ToString();
-    EXPECT_EQ(result->assignments.size(), 4u) << solver->name();
+  for (const std::string& name : ListSolvers()) {
+    auto solver = MakeSolver(name);
+    ASSERT_TRUE(solver.ok()) << name;
+    auto result = solver.value()->Solve(instance, options);
+    ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
+    EXPECT_EQ(result->assignments.size(), 4u) << name;
     EXPECT_TRUE(
         ValidateAssignments(instance, result->assignments, 4).ok())
-        << solver->name();
-    EXPECT_GE(result->utility, 0.0);
-    EXPECT_EQ(result->solver, solver->name());
+        << name;
+    EXPECT_GE(result->utility, 0.0) << name;
+    EXPECT_EQ(result->solver, name);
+    EXPECT_TRUE(result->termination.ok()) << name;
   }
 }
 
 TEST_P(SolverPropertyTest, ReportedUtilityMatchesReferenceObjective) {
   const SesInstance instance = MakeInstance();
   const SolverOptions options = OptionsWithK(3, GetParam());
-  GreedySolver grd;
-  auto result = grd.Solve(instance, options);
-  ASSERT_TRUE(result.ok());
+  for (const std::string& name : ListSolvers()) {
+    auto solver = MakeSolver(name);
+    ASSERT_TRUE(solver.ok()) << name;
+    auto result = solver.value()->Solve(instance, options);
+    ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
 
-  Schedule schedule(instance);
-  for (const Assignment& a : result->assignments) {
-    ASSERT_TRUE(schedule.Assign(a.event, a.interval).ok());
+    Schedule schedule(instance);
+    for (const Assignment& a : result->assignments) {
+      ASSERT_TRUE(schedule.Assign(a.event, a.interval).ok()) << name;
+    }
+    EXPECT_NEAR(result->utility, TotalUtility(instance, schedule), 1e-9)
+        << name;
   }
-  EXPECT_NEAR(result->utility, TotalUtility(instance, schedule), 1e-9);
 }
 
 TEST_P(SolverPropertyTest, GreedyIsDeterministic) {
