@@ -101,10 +101,13 @@ void AttendanceModel::TouchLoaded(EventIndex e, double sign) {
 }
 
 double AttendanceModel::MarginalGain(EventIndex e, IntervalIndex t) {
-  SES_CHECK(!schedule_.IsAssigned(e)) << "gain is defined for new events";
   LoadInterval(t);
   ++gain_evaluations_;
+  return LoadedGain(e);
+}
 
+double AttendanceModel::LoadedGain(EventIndex e) const {
+  SES_CHECK(!schedule_.IsAssigned(e)) << "gain is defined for new events";
   auto users = instance_->EventUsers(e);
   auto values = instance_->EventValues(e);
   return kernels::LuceGain(users.data(), values.data(), users.size(),

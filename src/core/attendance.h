@@ -41,10 +41,12 @@
 /// hash-based sigma provider that is |U| hash evaluations per reload,
 /// the dominant cost of move-based solvers that hop between intervals
 /// thousands of times. Both are now cached per interval. The cache is
-/// populated on an interval's *second* load, so one-shot sweeps (GRD's
-/// generation pass touches each interval exactly once) pay no extra
-/// memory, while reload-heavy callers (local search, annealing, GRD's
-/// update passes) hit pure array reads. Cached masses are stored as the
+/// populated on an interval's *second* load, so one-shot sweeps (the
+/// generation pass touches each interval exactly once per shard) pay no
+/// extra memory, while reload-heavy callers (local search, annealing,
+/// lazy greedy's stale re-evaluations) hit pure array reads. GRD and
+/// bestfit load each chosen interval once per Apply and re-score its
+/// row against that one load. Cached masses are stored as the
 /// same doubles the uncached path accumulates, so results are
 /// bit-for-bit identical with and without the cache
 /// (tests/core_sigma_cache_test.cc pins this).
@@ -83,14 +85,30 @@ class AttendanceModel {
   }
 
   /// Eq. 4: utility gain of assigning unassigned event \p e to \p t under
-  /// the current schedule. Does not modify the schedule. The sum itself
-  /// is kernels::LuceGain over the loaded SoA spans.
+  /// the current schedule. Does not modify the schedule:
+  /// LoadInterval(t), then LoadedGain(e), counted as one evaluation.
   ///
   /// SES_HOT: the O(|E|·|T|) score-generation loop (Algorithm 1 lines
   /// 2–4) funnels through here — the hot-path lint proves this call
   /// tree allocation-, lock-, and IO-free, and
   /// tests/core_hot_path_alloc_test.cc re-proves it at runtime.
   SES_HOT double MarginalGain(EventIndex e, IntervalIndex t);
+
+  /// Rebuilds the SoA scratch (denominators, scheduled mass, sigma row)
+  /// for interval \p t unless already loaded, via the scatter kernels
+  /// in core/kernels.h. Steady-state loads (cache replay or scratch
+  /// accumulate) are allocation-free: every SoA span is sized to its
+  /// instance-dimension bound at construction, and the one
+  /// materializing path is split into MaterializeCache below. Apply(e,
+  /// t) leaves \p t loaded.
+  SES_HOT void LoadInterval(IntervalIndex t);
+
+  /// Eq. 4 against the loaded interval: kernels::LuceGain of unassigned
+  /// event \p e over the loaded SoA spans. Reads only, so any number of
+  /// threads may call it concurrently while nobody mutates the model —
+  /// the row refresh of core/score_gen.h shards it that way. Not counted
+  /// in gain_evaluations(); callers count their own.
+  SES_HOT double LoadedGain(EventIndex e) const;
 
   /// Assigns e to t (must be valid) and updates the tracked utility by
   /// the exact gain.
@@ -107,14 +125,6 @@ class AttendanceModel {
   uint64_t gain_evaluations() const { return gain_evaluations_; }
 
  private:
-  /// Rebuilds the SoA scratch (denominators, scheduled mass, sigma row)
-  /// for interval \p t unless already loaded, via the scatter kernels
-  /// in core/kernels.h. Steady-state loads (cache replay or scratch
-  /// accumulate) are allocation-free: every SoA span is sized to its
-  /// instance-dimension bound at construction, and the one
-  /// materializing path is split into MaterializeCache below.
-  SES_HOT void LoadInterval(IntervalIndex t);
-
   /// Adds (sign=+1) or removes (sign=-1) event \p e's interest row from
   /// the loaded scratch (kernels::TouchMass).
   SES_HOT void TouchLoaded(EventIndex e, double sign);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 
 #include "core/attendance.h"
 #include "core/score_gen.h"
@@ -15,36 +16,44 @@ util::Result<SolveOutcome> BestFitSolver::DoSolve(
   SES_RETURN_IF_ERROR(ApplyWarmStart(model, options.warm_start));
   SolverStats stats;
 
-  // Pass 1: optimistic per-event priority = best empty-schedule score,
-  // a running max over the event's emitted scores.
-  std::vector<double> priority(instance.num_events(), 0.0);
-  const ScoreGenResult generated = GenerateScoredAssignments(
-      instance, options, context, model.schedule(),
-      [&priority](EventIndex e, IntervalIndex, double score) {
-        priority[e] = std::max(priority[e], score);
-      });
+  const size_t num_events = instance.num_events();
+  std::vector<double> scores(instance.num_intervals() * num_events);
+  ScoreShards shards(options);
+  const ScoreGenResult generated =
+      GenerateAssignmentScores(instance, options, shards, context, scores);
   util::Status termination = generated.termination;
-  std::vector<EventIndex> order(instance.num_events());
+
+  // Pass 1: optimistic per-event priority = best empty-schedule score.
+  std::vector<double> priority(num_events, 0.0);
+  for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
+    for (EventIndex e = 0; e < num_events; ++e) {
+      if (model.schedule().IsAssigned(e)) continue;  // warm-started
+      priority[e] = std::max(priority[e], scores[t * num_events + e]);
+    }
+  }
+  std::vector<EventIndex> order(num_events);
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(),
             [&priority](EventIndex a, EventIndex b) {
               return priority[a] > priority[b];
             });
 
-  // Pass 2: each event takes its currently-best feasible interval.
-  // Skipped when pass 1 was cut short (priorities would be truncated).
+  // Pass 2: each event takes its best feasible interval, read from its
+  // grid column. The column is current: every placement re-scores the
+  // chosen interval's row for the events still to be visited.
+  // Skipped when pass 1 was cut short (the grid would be partial).
   const size_t k = static_cast<size_t>(options.k);
-  for (EventIndex e : order) {
+  for (size_t i = 0; i < order.size(); ++i) {
     if (!termination.ok() || context.CheckStop(&termination)) break;
     context.CountWork(1);
     if (model.schedule().size() >= k) break;
+    const EventIndex e = order[i];
     if (model.schedule().IsAssigned(e)) continue;  // warm-started
     double best_gain = -1.0;
     IntervalIndex best_interval = kInvalidIndex;
     for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
       if (!model.CanAssign(e, t)) continue;
-      const double gain = model.MarginalGain(e, t);
-      ++stats.updates;
+      const double gain = scores[static_cast<size_t>(t) * num_events + e];
       if (gain > best_gain) {
         best_gain = gain;
         best_interval = t;
@@ -53,10 +62,14 @@ util::Result<SolveOutcome> BestFitSolver::DoSolve(
     if (best_interval == kInvalidIndex) continue;  // nowhere to place it
     model.Apply(e, best_interval);
     ++stats.pops;
+    if (model.schedule().size() < k) {
+      stats.updates += RefreshIntervalScores(
+          model, best_interval, std::span(order).subspan(i + 1), shards,
+          scores);
+    }
   }
 
-  stats.gain_evaluations =
-      model.gain_evaluations() + generated.gain_evaluations;
+  stats.gain_evaluations = generated.gain_evaluations + stats.updates;
   return SolveOutcome{model.schedule(), stats, std::move(termination)};
 }
 

@@ -1,22 +1,11 @@
 #include "core/greedy.h"
 
-#include <algorithm>
+#include <numeric>
 
 #include "core/attendance.h"
 #include "core/score_gen.h"
 
 namespace ses::core {
-
-namespace {
-
-/// One entry of the assignment list L.
-struct ScoredAssignment {
-  EventIndex event;
-  IntervalIndex interval;
-  double score;
-};
-
-}  // namespace
 
 util::Result<SolveOutcome> GreedySolver::DoSolve(
     const SesInstance& instance, const SolverOptions& options,
@@ -24,63 +13,61 @@ util::Result<SolveOutcome> GreedySolver::DoSolve(
   AttendanceModel model(instance);
   SES_RETURN_IF_ERROR(ApplyWarmStart(model, options.warm_start));
   SolverStats stats;
-  util::Status termination;
 
-  // Algorithm 1, lines 2-4: generate all assignments with their scores.
-  // GenerateScoredAssignments emits in serial t-major order at every
-  // SolverOptions::threads value, so L is byte-identical across thread
-  // counts (tests/core_parallel_solve_test.cc pins this).
-  std::vector<ScoredAssignment> list;
-  list.reserve(static_cast<size_t>(instance.num_events()) *
-               instance.num_intervals());
-  const ScoreGenResult generated = GenerateScoredAssignments(
-      instance, options, context, model.schedule(),
-      [&list](EventIndex e, IntervalIndex t, double score) {
-        list.push_back({e, t, score});
-      });
-  termination = generated.termination;
+  // Algorithm 1, lines 2-4: L is the score grid scores[t * |E| + e],
+  // bit-identical at every SolverOptions::threads value
+  // (tests/core_parallel_solve_test.cc pins this).
+  const size_t num_events = instance.num_events();
+  std::vector<double> scores(instance.num_intervals() * num_events);
+  ScoreShards shards(options);
+  const ScoreGenResult generated =
+      GenerateAssignmentScores(instance, options, shards, context, scores);
+  util::Status termination = generated.termination;
+  // Drop the pairs that are invalid from the start (warm-started events,
+  // pairs an interval cannot host). From here on every live cell is a
+  // valid assignment holding its current score.
+  for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
+    for (EventIndex e = 0; e < num_events; ++e) {
+      if (!model.CanAssign(e, t)) scores[t * num_events + e] = kDeadScore;
+    }
+  }
+  std::vector<EventIndex> events(num_events);
+  std::iota(events.begin(), events.end(), 0u);
 
   const size_t k = static_cast<size_t>(options.k);
   // Algorithm 1, lines 5-13. Skipped entirely when generation was cut
-  // short: selecting from a partial list would bias toward low intervals.
-  while (termination.ok() && model.schedule().size() < k && !list.empty()) {
+  // short: selecting from a partial grid would bias toward low intervals.
+  while (termination.ok() && model.schedule().size() < k) {
     if (context.CheckStop(&termination)) break;
     context.CountWork(1);
-    // popTopAssgn: find and remove the largest-score assignment.
-    size_t best = 0;
-    for (size_t i = 1; i < list.size(); ++i) {
-      if (list[i].score > list[best].score) best = i;
+    // popTopAssgn: the grid's argmax. The t-major scan with a strict >
+    // gives ties to the lowest (interval, event).
+    size_t best = scores.size();
+    double best_score = kDeadScore;
+    for (size_t cell = 0; cell < scores.size(); ++cell) {
+      if (scores[cell] > best_score) {
+        best_score = scores[cell];
+        best = cell;
+      }
     }
+    if (best == scores.size()) break;  // L is empty
     ++stats.pops;
-    const ScoredAssignment top = list[best];
-    list[best] = list.back();
-    list.pop_back();
-
-    if (!model.CanAssign(top.event, top.interval)) continue;
-    model.Apply(top.event, top.interval);
+    const auto chosen = static_cast<IntervalIndex>(best / num_events);
+    const auto event = static_cast<EventIndex>(best % num_events);
+    model.Apply(event, chosen);
 
     if (model.schedule().size() >= k) break;
 
-    // Update pass: recompute scores of valid assignments referring to the
-    // chosen interval; remove invalid assignments from L.
-    size_t write = 0;
-    for (size_t i = 0; i < list.size(); ++i) {
-      ScoredAssignment a = list[i];
-      if (!model.CanAssign(a.event, a.interval)) continue;  // drop
-      if (a.interval == top.interval) {
-        a.score = model.MarginalGain(a.event, a.interval);
-        ++stats.updates;
-      }
-      list[write++] = a;
+    // Update pass: the event leaves L, and the chosen interval's row is
+    // re-scored, dropping the pairs that interval can no longer host.
+    for (size_t cell = event; cell < scores.size(); cell += num_events) {
+      scores[cell] = kDeadScore;
     }
-    list.resize(write);
+    stats.updates +=
+        RefreshIntervalScores(model, chosen, events, shards, scores);
   }
 
-  // Generation ran on shard-private engines; fold their evaluation
-  // count into the main model's update-pass count.
-  stats.gain_evaluations =
-      model.gain_evaluations() + generated.gain_evaluations;
-
+  stats.gain_evaluations = generated.gain_evaluations + stats.updates;
   return SolveOutcome{model.schedule(), stats, std::move(termination)};
 }
 

@@ -47,10 +47,56 @@ SES_HOT uint64_t ScoreRange(const SesInstance& instance,
   return evaluations;
 }
 
+/// Re-scores candidates [lo, hi) of one row against \p model's loaded
+/// interval \p t: a feasible candidate's cell gets its gain, any other
+/// candidate's cell kDeadScore. Returns the number of gains evaluated.
+///
+/// SES_HOT: the per-shard body of every GRD/bestfit row refresh. It
+/// only reads the model (LoadedGain is const), so shards of one row run
+/// concurrently on one model and write disjoint cells.
+SES_HOT uint64_t RefreshRange(const AttendanceModel& model, IntervalIndex t,
+                              const EventIndex* candidates, size_t lo,
+                              size_t hi, double* row) {
+  uint64_t evaluations = 0;
+  for (size_t i = lo; i < hi; ++i) {
+    const EventIndex e = candidates[i];
+    if (!model.CanAssign(e, t)) {
+      row[e] = kDeadScore;
+      continue;
+    }
+    row[e] = model.LoadedGain(e);
+    ++evaluations;
+  }
+  return evaluations;
+}
+
 }  // namespace
+
+ScoreShards::ScoreShards(const SolverOptions& options)
+    // The shard budget; 0 = every available lane (ParallelForShards:
+    // workers + caller). ValidateSolverOptions rejects negative values.
+    : max_shards_(static_cast<size_t>(options.threads)) {
+  if (max_shards_ == 1) return;  // one shard: inline, no pool
+  pool_ = options.pool;
+  if (pool_ != nullptr) return;
+  // Transient pool for direct Solver::Solve callers without one; the
+  // caller participates in shard execution, hence the -1 (also for
+  // threads == 0, where "all lanes" means hardware_concurrency lanes
+  // total, not hardware_concurrency workers plus the caller). Lanes are
+  // capped at the core count: more shards than cores only adds
+  // thread-spawn cost, never speed, and an absurd threads value must not
+  // translate into that many OS threads.
+  const size_t hw = std::max<size_t>(2, std::thread::hardware_concurrency());
+  const size_t lanes =
+      max_shards_ == 0 ? hw : std::min<size_t>(max_shards_, hw);
+  local_pool_ =
+      std::make_unique<util::ThreadPool>(std::max<size_t>(1, lanes - 1));
+  pool_ = local_pool_.get();
+}
 
 ScoreGenResult GenerateAssignmentScores(const SesInstance& instance,
                                         const SolverOptions& options,
+                                        ScoreShards& shards,
                                         const SolveContext& context,
                                         std::vector<double>& scores) {
   const size_t num_intervals = instance.num_intervals();
@@ -58,11 +104,6 @@ ScoreGenResult GenerateAssignmentScores(const SesInstance& instance,
                num_intervals * static_cast<size_t>(instance.num_events()));
 
   ScoreGenResult result;
-
-  // The shard budget; 0 = every available lane (ParallelForShards:
-  // workers + caller). ValidateSolverOptions rejects negative values.
-  const size_t max_shards = static_cast<size_t>(options.threads);
-
   std::atomic<uint64_t> evaluations{0};
   /// Cross-shard stop aggregation; a named struct so the guarded-by
   /// relation is annotation-checkable (locals cannot carry
@@ -71,7 +112,7 @@ ScoreGenResult GenerateAssignmentScores(const SesInstance& instance,
     util::Mutex mutex;
     util::Status first_stop SES_GUARDED_BY(mutex);
   } stop;
-  const auto score_shard = [&](size_t lo, size_t hi) {
+  shards.ForEachShard(num_intervals, [&](size_t lo, size_t hi) {
     // One private model per shard: AttendanceModel keeps per-interval
     // scratch and is not shareable across threads. Replaying the
     // validated warm start puts every model in the exact schedule
@@ -87,42 +128,43 @@ ScoreGenResult GenerateAssignmentScores(const SesInstance& instance,
       util::MutexLock lock(stop.mutex);
       if (stop.first_stop.ok()) stop.first_stop = std::move(termination);
     }
-  };
-
-  if (max_shards == 1 || num_intervals <= 1) {
-    // One shard: run it inline on the calling thread, no pool.
-    score_shard(0, num_intervals);
-  } else {
-    util::ThreadPool* pool = options.pool;
-    std::unique_ptr<util::ThreadPool> local_pool;
-    if (pool == nullptr) {
-      // Transient pool for direct Solver::Solve callers without one; the
-      // caller participates in shard execution, hence the -1 (also for
-      // threads == 0, where "all lanes" means hardware_concurrency lanes
-      // total, not hardware_concurrency workers plus the caller). Lanes
-      // are capped at the core count: more shards than cores only adds
-      // thread-spawn cost, never speed, and an absurd threads value must
-      // not translate into that many OS threads.
-      const size_t hw =
-          std::max<size_t>(2, std::thread::hardware_concurrency());
-      const size_t lanes =
-          max_shards == 0 ? hw : std::min<size_t>(max_shards, hw);
-      local_pool =
-          std::make_unique<util::ThreadPool>(std::max<size_t>(1, lanes - 1));
-      pool = local_pool.get();
-    }
-    pool->ParallelForShards(0, num_intervals, max_shards, score_shard);
-  }
+  });
 
   result.gain_evaluations = evaluations.load();
   {
-    // ParallelForShards is a barrier, but take the lock for the fan-in
-    // read anyway: it is what lets the analysis prove the access, and
-    // an uncontended lock here is free next to the sharded loop above.
+    // ForEachShard is a barrier, but take the lock for the fan-in read
+    // anyway: it is what lets the analysis prove the access, and an
+    // uncontended lock here is free next to the sharded loop above.
     util::MutexLock lock(stop.mutex);
     result.termination = std::move(stop.first_stop);
   }
   return result;
+}
+
+ScoreGenResult GenerateAssignmentScores(const SesInstance& instance,
+                                        const SolverOptions& options,
+                                        const SolveContext& context,
+                                        std::vector<double>& scores) {
+  ScoreShards shards(options);
+  return GenerateAssignmentScores(instance, options, shards, context,
+                                  scores);
+}
+
+uint64_t RefreshIntervalScores(AttendanceModel& model, IntervalIndex t,
+                               std::span<const EventIndex> candidates,
+                               ScoreShards& shards,
+                               std::vector<double>& scores) {
+  const size_t num_events = model.schedule().instance().num_events();
+  SES_CHECK_LE((static_cast<size_t>(t) + 1) * num_events, scores.size());
+  model.LoadInterval(t);
+  double* row = scores.data() + static_cast<size_t>(t) * num_events;
+  std::atomic<uint64_t> evaluations{0};
+  shards.ForEachShard(candidates.size(), [&](size_t lo, size_t hi) {
+    evaluations.fetch_add(
+        RefreshRange(model, t, candidates.data(), lo, hi, row),
+        std::memory_order_relaxed);
+  });
+  return evaluations.load();
 }
 
 ScoreGenResult GenerateScoredAssignments(const SesInstance& instance,

@@ -2,27 +2,39 @@
 #define SES_CORE_SCORE_GEN_H_
 
 /// \file
-/// Assignment-score generation shared by the four constructive solvers
-/// grd, lazy, top and bestfit (Algorithm 1, lines 2-4 of the paper): the
-/// marginal gain of every (event, interval) pair under the
-/// warm-start-only schedule. This O(|E|·|T|) sweep dominates their
-/// runtime on paper-scale instances and is embarrassingly parallel — no
-/// pair's score depends on another — so it shards interval-contiguously
-/// across a util::ThreadPool with one private AttendanceModel per shard.
-/// It is the only such sweep in the solvers: each of the four builds its
-/// own candidate structure from the emitted scores.
+/// Assignment scoring shared by the four constructive solvers grd, lazy,
+/// top and bestfit (Algorithm 1 of the paper).
+///
+/// Generation (lines 2-4) fills a dense grid scores[t * |E| + e] with
+/// the marginal gain of every (event, interval) pair under the
+/// warm-start-only schedule. This O(|E|·|T|) sweep is embarrassingly
+/// parallel — no pair's score depends on another — so it shards
+/// interval-contiguously across a util::ThreadPool with one private
+/// AttendanceModel per shard. It is the only initial-score sweep in the
+/// solvers. TOP and lazy build their own structures from the emitted
+/// scores; GRD and bestfit keep the grid itself as their candidate set.
+///
+/// The row refresh (lines 5-13) keeps that grid current for GRD and
+/// bestfit. Feasibility and Eq. 4 for (e, t) depend only on interval t
+/// and on whether e is assigned, so after Apply(e*, t*) only column e*
+/// and row t* are stale. RefreshIntervalScores re-scores row t* against
+/// the caller's model, whose interval t* is already loaded, with the
+/// candidates sharded over the same pool as generation (ScoreShards).
 ///
 /// Determinism contract: the score of (e, t) is a pure function of the
-/// instance and the warm start (each shard model replays the warm start
+/// instance and the schedule (each shard model replays the warm start
 /// in request order and accumulates the same doubles in the same order
-/// at every shard count), so the filled score grid is bit-identical for
-/// every SolverOptions::threads value. Emission runs in serial (t-major,
-/// e-minor) order over that grid, so the four solvers produce
-/// byte-identical results at any thread count. A pass stopped by the
-/// SolveContext emits nothing.
+/// at every shard count; a refresh reads one shared, unmodified model),
+/// so the grid is bit-identical for every SolverOptions::threads value.
+/// Emission runs in serial (t-major, e-minor) order over that grid, so
+/// the four solvers produce byte-identical results at any thread count.
+/// A pass stopped by the SolveContext emits nothing.
 
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "core/instance.h"
@@ -30,8 +42,46 @@
 #include "core/solve_context.h"
 #include "core/solver.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace ses::core {
+
+class AttendanceModel;
+
+/// Grid value of a pair that is no longer a candidate: its event is
+/// assigned, or its interval can no longer host it. Below every real
+/// score (gains are >= 0).
+inline constexpr double kDeadScore = -std::numeric_limits<double>::infinity();
+
+/// The shard executor of one solve. Resolves SolverOptions::threads and
+/// SolverOptions::pool once, so generation and every row refresh of a
+/// solve run on the same pool: a direct Solver::Solve at threads != 1
+/// without a pool spins up one transient pool for the whole solve.
+class ScoreShards {
+ public:
+  /// threads == 1 runs every stage inline on the calling thread. Else
+  /// the stages run on options.pool when set, or on a transient pool of
+  /// min(threads, cores) lanes (all cores for threads == 0), the calling
+  /// thread being one of them.
+  explicit ScoreShards(const SolverOptions& options);
+
+  /// Runs fn(lo, hi) over contiguous shards of [0, n) whose sizes
+  /// differ by at most one, and returns once all are done. One shard
+  /// (threads == 1, or n <= 1) runs inline without touching the pool.
+  template <typename Fn>
+  void ForEachShard(size_t n, const Fn& fn) {
+    if (pool_ == nullptr || n <= 1) {
+      fn(size_t{0}, n);
+      return;
+    }
+    pool_->ParallelForShards(0, n, max_shards_, fn);
+  }
+
+ private:
+  size_t max_shards_;
+  util::ThreadPool* pool_ = nullptr;
+  std::unique_ptr<util::ThreadPool> local_pool_;
+};
 
 /// Outcome of one generation pass.
 struct ScoreGenResult {
@@ -58,15 +108,33 @@ using ScoreEmit =
 /// warm-started events are left untouched. \p scores must be pre-sized
 /// to num_intervals() * num_events().
 ///
-/// options.threads selects the shard count (see SolverOptions). A single
-/// shard runs inline on the calling thread; more run on options.pool
-/// when set, else on a transient local pool. The warm start must already
-/// be validated (the caller applied it to its own model) — shard models
+/// The shards run on \p shards. The warm start must already be
+/// validated (the caller applied it to its own model) — shard models
 /// replay it and treat failure as a programming error.
+ScoreGenResult GenerateAssignmentScores(const SesInstance& instance,
+                                        const SolverOptions& options,
+                                        ScoreShards& shards,
+                                        const SolveContext& context,
+                                        std::vector<double>& scores);
+
+/// As above, on a ScoreShards(options) of its own.
 ScoreGenResult GenerateAssignmentScores(const SesInstance& instance,
                                         const SolverOptions& options,
                                         const SolveContext& context,
                                         std::vector<double>& scores);
+
+/// Re-scores interval \p t's grid row for \p candidates after the
+/// caller's model changed interval t. Loads t on \p model (a no-op right
+/// after model.Apply(e, t)), then shards \p candidates over \p shards:
+/// each candidate that model.CanAssign at t gets its AttendanceModel::
+/// LoadedGain, every other one (assigned, or infeasible at t) gets
+/// kDeadScore. Cells of events not in \p candidates are left untouched.
+/// Returns the number of gains evaluated; \p model's own
+/// gain_evaluations() does not count them.
+uint64_t RefreshIntervalScores(AttendanceModel& model, IntervalIndex t,
+                               std::span<const EventIndex> candidates,
+                               ScoreShards& shards,
+                               std::vector<double>& scores);
 
 /// The full generation + assembly stage shared by the constructive
 /// solvers: runs GenerateAssignmentScores, then invokes \p emit for every

@@ -55,19 +55,19 @@ struct SolverOptions {
   uint64_t max_nodes = 50000000;
 
   /// Intra-solver parallelism for assignment-score generation (the four
-  /// constructive solvers grd, lazy, top and bestfit): the maximum
-  /// number of generation shards. 1 (default) scores on one shard on the
+  /// constructive solvers grd, lazy, top and bestfit) and for GRD's and
+  /// bestfit's row refresh: the maximum number of shards. 1 (default) scores on one shard on the
   /// calling thread; 0 means one shard per available lane (pool workers
   /// plus the calling thread); N > 1 caps the shard count at N. Results
   /// are bit-identical at every value — only wall-clock time changes.
   int64_t threads = 1;
 
-  /// Borrowed pool for score-generation shards; not owned, may be null.
+  /// Borrowed pool for the scoring shards; not owned, may be null.
   /// api::Scheduler fills this in with its own pool for requests that
   /// ask for threads != 1 (ThreadPool::ParallelFor is safe to call from
   /// a pool worker, so fan-out solvers and intra-solver shards share one
-  /// pool). When null and threads != 1, solvers spin up a transient pool
-  /// for the generation pass.
+  /// pool). When null and threads != 1, solvers spin up one transient
+  /// pool per solve (see ScoreShards in core/score_gen.h).
   util::ThreadPool* pool = nullptr;
 };
 
@@ -77,7 +77,9 @@ struct SolverStats {
   uint64_t gain_evaluations = 0;
   /// popTopAssgn operations (GRD) / heap pops (lazy greedy).
   uint64_t pops = 0;
-  /// Score-update recomputations after a selection.
+  /// Score-update recomputations after a selection: Eq. 4 evaluations
+  /// of the row refresh for GRD and bestfit (bestfit refreshes only the
+  /// events it has not visited yet), stale re-evaluations for lazy.
   uint64_t updates = 0;
   /// Branch-and-bound nodes (exact solver).
   uint64_t nodes = 0;

@@ -69,6 +69,29 @@ Status CheckPositive(double value, const std::string& path) {
   return Status::Ok();
 }
 
+/// Integer-valued fields: \p value must be a whole number in
+/// [lo, hi], checked before anything casts it or sizes a buffer by it.
+/// A fraction is kInvalidArgument, a whole number outside the range
+/// kOutOfRange.
+Status CheckInteger(double value, const std::string& path, double lo,
+                    double hi) {
+  if (std::trunc(value) != value) {
+    return Status::InvalidArgument(util::StrFormat(
+        "trace descriptor: '%s' must be an integer (got %g)", path.c_str(),
+        value));
+  }
+  if (value < lo || value > hi) {
+    return Status::OutOfRange(util::StrFormat(
+        "trace descriptor: '%s' must be in [%.0f, %.0f] (got %g)",
+        path.c_str(), lo, hi, value));
+  }
+  return Status::Ok();
+}
+
+/// Seeds are read as JSON doubles, which hold every integer up to 2^53
+/// exactly; larger values would silently round.
+constexpr double kMaxSeed = 9007199254740992.0;  // 2^53
+
 Status CheckFraction(double value, const std::string& path) {
   if (!(value >= 0.0 && value <= 1.0)) {
     return Status::InvalidArgument(util::StrFormat(
@@ -259,6 +282,7 @@ Status ParseInstance(const JsonValue& instance, TraceSpec& spec) {
   SES_ASSIGN_OR_RETURN(
       value, OptionalNumber(instance, "instance", "seed",
                             static_cast<double>(spec.workload.seed)));
+  SES_RETURN_IF_ERROR(CheckInteger(value, "instance.seed", 0.0, kMaxSeed));
   spec.workload.seed = static_cast<uint64_t>(value);
   spec.dataset.seed = spec.workload.seed ^ 0x5e5e5e5eULL;
   return Status::Ok();
@@ -340,9 +364,12 @@ util::Result<TraceSpec> TraceSpec::FromJsonText(const std::string& text) {
 
   double value = 0.0;
   SES_ASSIGN_OR_RETURN(value, RequireNumber(root, "", "seed"));
+  SES_RETURN_IF_ERROR(CheckInteger(value, "seed", 0.0, kMaxSeed));
   spec.seed = static_cast<uint64_t>(value);
   SES_ASSIGN_OR_RETURN(value, RequireNumber(root, "", "requests"));
   SES_RETURN_IF_ERROR(CheckPositive(value, "requests"));
+  SES_RETURN_IF_ERROR(CheckInteger(value, "requests", 1.0,
+                                   static_cast<double>(kMaxTraceRequests)));
   spec.num_requests = static_cast<int64_t>(value);
 
   const JsonValue* arrival = root.Find("arrival");

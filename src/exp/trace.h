@@ -54,16 +54,24 @@ struct DeadlineSpec {
   double max_seconds = 0.0;
 };
 
+/// Upper bound on a descriptor's "requests": the replay keeps a few
+/// words per request (arrival offsets, per-request draws), so the cap
+/// keeps a mistyped count a typed kOutOfRange instead of an allocation
+/// failure. The in-repo traces use at most a few hundred.
+inline constexpr int64_t kMaxTraceRequests = 1000000;
+
 /// A parsed, validated load scenario.
 struct TraceSpec {
   /// Scenario name (becomes the BENCH_<name>.json stem).
   std::string name;
 
   /// Master seed: fixes the arrival process, every per-request draw
-  /// (solver, priority, deadline, solver seed), and the instance.
+  /// (solver, priority, deadline, solver seed), and the instance. An
+  /// integer in [0, 2^53] in the descriptor.
   uint64_t seed = 0;
 
-  /// Number of requests to submit.
+  /// Number of requests to submit; an integer in [1, kMaxTraceRequests]
+  /// in the descriptor (ScaleRequests may then scale it).
   int64_t num_requests = 0;
 
   /// Base Poisson arrival rate, requests per second.

@@ -1,8 +1,14 @@
 #include "core/best_fit.h"
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "core/attendance.h"
 #include "core/greedy.h"
+#include "core/objective.h"
 #include "core/top_k.h"
 #include "core/validate.h"
 #include "tests/test_util.h"
@@ -72,11 +78,104 @@ TEST_P(BestFitTest, DoesFewerEvaluationsThanGreedy) {
   auto g = grd.Solve(instance, options);
   ASSERT_TRUE(bf.ok());
   ASSERT_TRUE(g.ok());
-  // BESTFIT costs |E||T| + (at most) k|T| evaluations; GRD's update cost
-  // varies with how contested the chosen intervals are, so on tiny
-  // instances the two can be within one interval-refresh of each other.
+  // BESTFIT costs |E||T| + one row refresh per placement but the last,
+  // over the events not yet visited; GRD refreshes the same rows over
+  // every unassigned event. The chosen intervals differ, so on tiny
+  // instances the two can be within one interval's worth of each other.
   EXPECT_LE(bf->stats.gain_evaluations,
             g->stats.gain_evaluations + instance.num_intervals());
+}
+
+/// What the reference run produced, in SolverResult terms.
+struct ReferenceOutcome {
+  std::vector<Assignment> assignments;
+  double utility = 0.0;
+  uint64_t pops = 0;
+};
+
+/// Test-local reference: bestfit as it ran before it kept the score grid.
+/// Priorities are a running max over the warm-start-only scores, and
+/// pass 2 probes every interval of each event with a fresh MarginalGain.
+ReferenceOutcome ReferenceBestFit(const SesInstance& instance,
+                                  const SolverOptions& options) {
+  AttendanceModel model(instance);
+  EXPECT_TRUE(ApplyWarmStart(model, options.warm_start).ok());
+  std::vector<double> priority(instance.num_events(), 0.0);
+  for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
+    for (EventIndex e = 0; e < instance.num_events(); ++e) {
+      if (model.schedule().IsAssigned(e)) continue;
+      priority[e] = std::max(priority[e], model.MarginalGain(e, t));
+    }
+  }
+  std::vector<EventIndex> order(instance.num_events());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(),
+            [&priority](EventIndex a, EventIndex b) {
+              return priority[a] > priority[b];
+            });
+  ReferenceOutcome out;
+  for (EventIndex e : order) {
+    if (model.schedule().size() >= static_cast<size_t>(options.k)) break;
+    if (model.schedule().IsAssigned(e)) continue;
+    double best_gain = -1.0;
+    IntervalIndex best_interval = kInvalidIndex;
+    for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
+      if (!model.CanAssign(e, t)) continue;
+      const double gain = model.MarginalGain(e, t);
+      if (gain > best_gain) {
+        best_gain = gain;
+        best_interval = t;
+      }
+    }
+    if (best_interval == kInvalidIndex) continue;
+    model.Apply(e, best_interval);
+    ++out.pops;
+  }
+  out.assignments = model.schedule().Assignments();
+  out.utility = TotalUtility(instance, model.schedule());
+  return out;
+}
+
+TEST_P(BestFitTest, MatchesProbeEveryIntervalReference) {
+  // Tighter than MakeInstance: few locations and little room per
+  // interval, so placements make pairs infeasible and rows go stale.
+  test::RandomInstanceConfig config;
+  config.seed = GetParam();
+  config.num_users = 60;
+  config.num_events = 24;
+  config.num_intervals = 6;
+  config.num_locations = 3;
+  config.theta = 8.0;
+  const SesInstance instance = test::MakeRandomInstance(config);
+
+  std::vector<Assignment> warm;
+  Schedule probe(instance);
+  for (EventIndex e = 0; e < instance.num_events() && warm.size() < 3;
+       e += 5) {
+    const IntervalIndex t = e % instance.num_intervals();
+    if (probe.CanAssign(e, t) && probe.Assign(e, t).ok()) {
+      warm.push_back({e, t});
+    }
+  }
+  ASSERT_FALSE(warm.empty());
+
+  for (const bool warm_started : {false, true}) {
+    for (const int64_t threads : {1, 4}) {
+      SolverOptions options;
+      options.k = 12;
+      options.threads = threads;
+      if (warm_started) options.warm_start = warm;
+      const ReferenceOutcome ref = ReferenceBestFit(instance, options);
+      BestFitSolver bestfit;
+      auto result = bestfit.Solve(instance, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const std::string label = "warm=" + std::to_string(warm_started) +
+                                " threads=" + std::to_string(threads);
+      EXPECT_EQ(result->assignments, ref.assignments) << label;
+      EXPECT_EQ(result->utility, ref.utility) << label;  // bit-identical
+      EXPECT_EQ(result->stats.pops, ref.pops) << label;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BestFitTest,

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/greedy.h"
 #include "core/objective.h"
 #include "core/schedule.h"
@@ -71,6 +73,40 @@ TEST_P(GreedyOracleTest, EverySelectionIsAMaxScoreValidAssignment) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GreedyOracleTest,
                          ::testing::Values(3, 14, 15, 92, 65, 35));
+
+// popTopAssgn's tie rule: among exactly equal scores GRD takes the
+// lowest (interval, event), interval first. Events 0 and 1 have the
+// same interest row. Every row is one user at interest 0.5, so with no
+// competition and a constant sigma every valid pair scores exactly 1.0.
+TEST(GreedyTieBreakTest, TiesGoToTheLowestIntervalThenEvent) {
+  InstanceBuilder builder;
+  builder.SetNumUsers(2).SetNumIntervals(2).SetTheta(10.0).SetSigma(
+      std::make_shared<ConstSigma>(1.0));
+  builder.AddEvent(/*location=*/0, 1.0, {{0, 0.5f}});
+  builder.AddEvent(/*location=*/1, 1.0, {{0, 0.5f}});
+  // Disjoint from events 0 and 1 and at event 0's location: warm-started
+  // at interval 0, it only makes (event 0, interval 0) infeasible.
+  builder.AddEvent(/*location=*/0, 1.0, {{1, 0.5f}});
+  auto instance = builder.Build();
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+
+  GreedySolver grd;
+  SolverOptions options;
+  options.k = 1;
+  auto first = grd.Solve(*instance, options);
+  ASSERT_TRUE(first.ok());
+  // All six pairs tie; (interval 0, event 0) is the lowest.
+  EXPECT_EQ(first->assignments, (std::vector<Assignment>{{0, 0}}));
+
+  // With (event 0, interval 0) gone, the tie is between (interval 0,
+  // event 1) and (interval 1, event 0): the lower interval wins even
+  // though its event is the higher one.
+  options.k = 2;
+  options.warm_start = {{2, 0}};
+  auto second = grd.Solve(*instance, options);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->assignments, (std::vector<Assignment>{{1, 0}, {2, 0}}));
+}
 
 }  // namespace
 }  // namespace ses::core

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "core/attendance.h"
 #include "core/kernels.h"
 #include "core/objective.h"
+#include "core/score_gen.h"
 #include "core/sigma.h"
 #include "tests/test_util.h"
 #include "util/alloc_guard.h"
@@ -99,6 +101,37 @@ TEST(HotPathAllocTest, SweepOverPartialScheduleIsAllocationFree) {
   const double sink = GainSweep(instance, model);
   EXPECT_EQ(check.allocations(), 0u);
   EXPECT_TRUE(std::isfinite(sink));
+}
+
+TEST(HotPathAllocTest, RowRefreshIsAllocationFree) {
+  if (!util::AllocGuardEnabled()) GTEST_SKIP() << kSkipMessage;
+  const SesInstance instance = test::MakeMediumInstance();
+  AttendanceModel model(instance);
+  for (EventIndex e = 0; e < instance.num_events(); e += 4) {
+    const IntervalIndex t = e % instance.num_intervals();
+    if (model.CanAssign(e, t)) model.Apply(e, t);
+  }
+  std::vector<double> scores(static_cast<size_t>(instance.num_events()) *
+                             instance.num_intervals());
+  std::vector<EventIndex> events(instance.num_events());
+  std::iota(events.begin(), events.end(), 0u);
+  // threads = 1: GRD's and bestfit's refresh run inline, the case a
+  // serial solve takes after every placement.
+  ScoreShards shards(SolverOptions{});
+  // Two warm passes materialize every interval's cache (the refresh
+  // loads each interval it re-scores) outside the window.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
+      RefreshIntervalScores(model, t, events, shards, scores);
+    }
+  }
+  uint64_t evaluations = 0;
+  util::ScopedAllocCheck check;
+  for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
+    evaluations += RefreshIntervalScores(model, t, events, shards, scores);
+  }
+  EXPECT_EQ(check.allocations(), 0u);
+  EXPECT_GT(evaluations, 0u);
 }
 
 TEST(HotPathAllocTest, SigmaProviderFillsAreAllocationFree) {

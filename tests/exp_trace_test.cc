@@ -118,6 +118,56 @@ TEST(TraceSpecTest, MissingSeedNamesTheKey) {
       << spec.status().ToString();
 }
 
+/// ValidDescriptor() with the first `"key": <value>` rewritten.
+std::string WithTopLevelValue(const std::string& key,
+                              const std::string& value) {
+  std::string text = ValidDescriptor();
+  const std::string needle = "\"" + key + "\": ";
+  const size_t at = text.find(needle);
+  const size_t end = text.find(',', at);
+  text.replace(at + needle.size(), end - at - needle.size(), value);
+  return text;
+}
+
+// Integer fields are checked before any cast or allocation: a huge
+// request count used to reach the arrival-offset reserve and abort with
+// std::bad_alloc, and a negative seed was silently cast to uint64_t.
+TEST(TraceSpecTest, RequestsAndSeedMustBeIntegersInRange) {
+  struct Case {
+    const char* key;
+    const char* value;
+    util::StatusCode code;
+  };
+  const Case cases[] = {
+      {"requests", "1e12", util::StatusCode::kOutOfRange},
+      {"requests", "1e300", util::StatusCode::kOutOfRange},
+      {"requests", "1.5", util::StatusCode::kInvalidArgument},
+      {"seed", "-1", util::StatusCode::kOutOfRange},
+      {"seed", "1e300", util::StatusCode::kOutOfRange},
+      {"seed", "1.5", util::StatusCode::kInvalidArgument},
+  };
+  for (const Case& c : cases) {
+    auto spec = TraceSpec::FromJsonText(WithTopLevelValue(c.key, c.value));
+    ASSERT_FALSE(spec.ok()) << c.key << "=" << c.value;
+    EXPECT_EQ(spec.status().code(), c.code) << spec.status().ToString();
+    EXPECT_NE(spec.status().message().find(std::string("'") + c.key + "'"),
+              std::string::npos)
+        << spec.status().ToString();
+  }
+  // The bounds themselves are accepted.
+  auto at_cap = TraceSpec::FromJsonText(
+      WithTopLevelValue("requests", std::to_string(kMaxTraceRequests)));
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->num_requests, kMaxTraceRequests);
+  auto max_seed =
+      TraceSpec::FromJsonText(WithTopLevelValue("seed", "9007199254740992"));
+  ASSERT_TRUE(max_seed.ok()) << max_seed.status().ToString();
+  EXPECT_EQ(max_seed->seed, uint64_t{1} << 53);
+  auto too_many = TraceSpec::FromJsonText(
+      WithTopLevelValue("requests", std::to_string(kMaxTraceRequests + 1)));
+  EXPECT_EQ(too_many.status().code(), util::StatusCode::kOutOfRange);
+}
+
 TEST(TraceSpecTest, UnknownKeysAreRejectedEverywhere) {
   auto top = TraceSpec::FromJsonText(R"({
     "name": "x", "seed": 1, "requests": 5,
