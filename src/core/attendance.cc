@@ -10,7 +10,7 @@ AttendanceModel::AttendanceModel(const SesInstance& instance)
     : instance_(&instance),
       schedule_(instance),
       // The constructor down-payment for the hot-path contract: every
-      // SoA span (D, M, sigma, touched) is sized to |U| here, so
+      // SoA span (D, M, share, sigma, touched) is sized to |U| here, so
       // steady-state LoadInterval/TouchLoaded kernels only ever store
       // through pre-sized spans — no growth, no allocation (re-proven
       // at runtime by tests/core_hot_path_alloc_test.cc).
@@ -41,7 +41,7 @@ void AttendanceModel::LoadInterval(IntervalIndex t) {
   // Reset only the entries touched by the previously loaded interval.
   kernels::ClearTouched(soa_.touched.data(), soa_.num_touched,
                         soa_.denom.data(), soa_.sched_mass.data(),
-                        soa_.in_touched.data());
+                        soa_.sched_share.data(), soa_.in_touched.data());
   soa_.num_touched = 0;
   loaded_ = t;
 
@@ -58,10 +58,11 @@ void AttendanceModel::LoadInterval(IntervalIndex t) {
     for (CompetingIndex c : instance_->CompetingAt(t)) {
       auto users = instance_->CompetingUsers(c);
       auto values = instance_->CompetingValues(c);
-      // Competing mass is never removed, so M stays untouched (null).
+      // Competing mass is never removed, so M and the share stay
+      // untouched (null).
       soa_.num_touched = kernels::AccumulateMass(
           users.data(), values.data(), users.size(), soa_.denom.data(),
-          nullptr, soa_.touched.data(), soa_.in_touched.data(),
+          nullptr, nullptr, soa_.touched.data(), soa_.in_touched.data(),
           soa_.num_touched);
     }
     if (cache.loads < 2) ++cache.loads;
@@ -81,13 +82,15 @@ void AttendanceModel::LoadInterval(IntervalIndex t) {
     }
   }
 
+  // Scheduled rows go last: each writes its users' share M / D, which
+  // must see the final competing part of D.
   for (EventIndex p : schedule_.EventsAt(t)) {
     auto users = instance_->EventUsers(p);
     auto values = instance_->EventValues(p);
     soa_.num_touched = kernels::AccumulateMass(
         users.data(), values.data(), users.size(), soa_.denom.data(),
-        soa_.sched_mass.data(), soa_.touched.data(),
-        soa_.in_touched.data(), soa_.num_touched);
+        soa_.sched_mass.data(), soa_.sched_share.data(),
+        soa_.touched.data(), soa_.in_touched.data(), soa_.num_touched);
   }
 }
 
@@ -96,8 +99,8 @@ void AttendanceModel::TouchLoaded(EventIndex e, double sign) {
   auto values = instance_->EventValues(e);
   soa_.num_touched = kernels::TouchMass(
       users.data(), values.data(), users.size(), sign, soa_.denom.data(),
-      soa_.sched_mass.data(), soa_.touched.data(), soa_.in_touched.data(),
-      soa_.num_touched);
+      soa_.sched_mass.data(), soa_.sched_share.data(), soa_.touched.data(),
+      soa_.in_touched.data(), soa_.num_touched);
 }
 
 double AttendanceModel::MarginalGain(EventIndex e, IntervalIndex t) {
@@ -112,7 +115,7 @@ double AttendanceModel::LoadedGain(EventIndex e) const {
   auto values = instance_->EventValues(e);
   return kernels::LuceGain(users.data(), values.data(), users.size(),
                            soa_.denom.data(), soa_.sched_mass.data(),
-                           sigma_row_);
+                           soa_.sched_share.data(), sigma_row_);
 }
 
 void AttendanceModel::Apply(EventIndex e, IntervalIndex t) {
@@ -136,7 +139,7 @@ void AttendanceModel::Unapply(EventIndex e) {
   auto values = instance_->EventValues(e);
   const double loss = kernels::LuceLoss(
       users.data(), values.data(), users.size(), soa_.denom.data(),
-      soa_.sched_mass.data(), sigma_row_);
+      soa_.sched_mass.data(), soa_.sched_share.data(), sigma_row_);
 
   SES_CHECK(schedule_.Unassign(e).ok());
   TouchLoaded(e, -1.0);

@@ -27,13 +27,17 @@
 ///
 /// The engine keeps its dense per-user scratch for a single "loaded"
 /// interval at a time as a structure-of-arrays bundle (core::IntervalSoA:
-/// D, M, sigma row, touched list — contiguous 64-byte-aligned spans),
-/// and every inner loop over that scratch is a batched span kernel from
-/// core/kernels.h rather than an open-coded scalar loop. GRD's access
-/// pattern (interval-major initial sweep, then one interval per
-/// iteration) makes this the right trade: marginal gains cost
-/// O(nnz(row)) with pure array reads, now through restrict-qualified
-/// pointers the compiler can vectorize.
+/// D, M, the share M / D, sigma row, touched list — contiguous
+/// 64-byte-aligned spans), and every inner loop over that scratch is a
+/// batched span kernel from core/kernels.h rather than an open-coded
+/// scalar loop. GRD's access pattern (interval-major initial sweep, then
+/// one interval per iteration) makes this the right trade: marginal
+/// gains cost O(nnz(row)) with pure array reads, now through
+/// restrict-qualified pointers the compiler can vectorize. The old term
+/// M / D of gain_u depends on the user and the loaded interval only, so
+/// it is divided once per scheduled-row user when the interval is
+/// loaded or touched (Apply/Unapply), and every gain evaluation against
+/// that load reads it: one division per term instead of two.
 ///
 /// Reloading an interval used to recompute its schedule-independent
 /// state from scratch every time: the aggregated competing-event
@@ -94,13 +98,13 @@ class AttendanceModel {
   /// tests/core_hot_path_alloc_test.cc re-proves it at runtime.
   SES_HOT double MarginalGain(EventIndex e, IntervalIndex t);
 
-  /// Rebuilds the SoA scratch (denominators, scheduled mass, sigma row)
-  /// for interval \p t unless already loaded, via the scatter kernels
-  /// in core/kernels.h. Steady-state loads (cache replay or scratch
-  /// accumulate) are allocation-free: every SoA span is sized to its
-  /// instance-dimension bound at construction, and the one
-  /// materializing path is split into MaterializeCache below. Apply(e,
-  /// t) leaves \p t loaded.
+  /// Rebuilds the SoA scratch (denominators, scheduled mass and share,
+  /// sigma row) for interval \p t unless already loaded, via the
+  /// scatter kernels in core/kernels.h. Steady-state loads (cache
+  /// replay or scratch accumulate) are allocation-free: every SoA span
+  /// is sized to its instance-dimension bound at construction, and the
+  /// one materializing path is split into MaterializeCache below.
+  /// Apply(e, t) leaves \p t loaded.
   SES_HOT void LoadInterval(IntervalIndex t);
 
   /// Eq. 4 against the loaded interval: kernels::LuceGain of unassigned
@@ -158,9 +162,9 @@ class AttendanceModel {
   Schedule schedule_;
 
   IntervalIndex loaded_ = kInvalidIndex;
-  /// D / M / sigma scratch + touched list for the loaded interval, as
-  /// contiguous aligned spans (see core/kernels.h for the layout and
-  /// the bit-identity contract of the kernels that walk it).
+  /// D / M / share / sigma scratch + touched list for the loaded
+  /// interval, as contiguous aligned spans (see core/kernels.h for the
+  /// layout and the bit-identity contract of the kernels that walk it).
   IntervalSoA soa_;
   const float* sigma_row_ = nullptr;  ///< sigma(u, loaded interval)
   std::vector<IntervalCache> interval_cache_;  ///< one slot per interval

@@ -9,7 +9,10 @@ namespace ses::core::kernels {
 // any "obvious" algebraic cleanup here is a test failure. What changed
 // is the calling convention: restrict-qualified raw pointers and no
 // virtual dispatch, so the compiler vectorizes instead of assuming
-// aliasing.
+// aliasing. The one hoist: LuceGain and LuceLoss read the stored
+// sched_share where the scalar loop divided M / D inline; the mass
+// kernels store that same expression, so the value read is the same
+// double.
 
 void FillSigmaConst(float value, std::span<float> out) {
   std::fill(out.begin(), out.end(), value);
@@ -31,11 +34,13 @@ void CopySigmaRow(std::span<const float> row, std::span<float> out) {
 void ClearTouched(const UserIndex* SES_RESTRICT touched, size_t n,
                   double* SES_RESTRICT denom,
                   double* SES_RESTRICT sched_mass,
+                  double* SES_RESTRICT sched_share,
                   uint8_t* SES_RESTRICT in_touched) {
   for (size_t i = 0; i < n; ++i) {
     const UserIndex u = touched[i];
     denom[u] = 0.0;
     sched_mass[u] = 0.0;
+    sched_share[u] = 0.0;
     in_touched[u] = 0;
   }
 }
@@ -58,6 +63,7 @@ size_t AccumulateMass(const UserIndex* SES_RESTRICT users,
                       const float* SES_RESTRICT values, size_t n,
                       double* SES_RESTRICT denom,
                       double* SES_RESTRICT sched_mass,
+                      double* SES_RESTRICT sched_share,
                       UserIndex* SES_RESTRICT touched,
                       uint8_t* SES_RESTRICT in_touched,
                       size_t num_touched) {
@@ -79,6 +85,7 @@ size_t AccumulateMass(const UserIndex* SES_RESTRICT users,
       }
       denom[u] += static_cast<double>(values[i]);
       sched_mass[u] += static_cast<double>(values[i]);
+      sched_share[u] = denom[u] > 0.0 ? sched_mass[u] / denom[u] : 0.0;
     }
   }
   return num_touched;
@@ -88,6 +95,7 @@ size_t TouchMass(const UserIndex* SES_RESTRICT users,
                  const float* SES_RESTRICT values, size_t n, double sign,
                  double* SES_RESTRICT denom,
                  double* SES_RESTRICT sched_mass,
+                 double* SES_RESTRICT sched_share,
                  UserIndex* SES_RESTRICT touched,
                  uint8_t* SES_RESTRICT in_touched, size_t num_touched) {
   for (size_t i = 0; i < n; ++i) {
@@ -102,6 +110,7 @@ size_t TouchMass(const UserIndex* SES_RESTRICT users,
     // Guard against negative residue from floating-point cancellation.
     if (denom[u] < 0.0) denom[u] = 0.0;
     if (sched_mass[u] < 0.0) sched_mass[u] = 0.0;
+    sched_share[u] = denom[u] > 0.0 ? sched_mass[u] / denom[u] : 0.0;
   }
   return num_touched;
 }
@@ -110,18 +119,16 @@ double LuceGain(const UserIndex* SES_RESTRICT users,
                 const float* SES_RESTRICT values, size_t n,
                 const double* SES_RESTRICT denom,
                 const double* SES_RESTRICT sched_mass,
+                const double* SES_RESTRICT sched_share,
                 const float* SES_RESTRICT sigma) {
   double gain = 0.0;
   for (size_t i = 0; i < n; ++i) {
     const UserIndex u = users[i];
     const double x = static_cast<double>(values[i]);
-    const double d = denom[u];
-    const double m = sched_mass[u];
-    // (M + x) / (D + x) - M / D; the old term vanishes when D == 0
+    // (M + x) / (D + x) - M / D; the stored old term is 0 when D == 0
     // (then M == 0 as well and the new term is x / x = 1).
-    const double term_new = (m + x) / (d + x);
-    const double term_old = d > 0.0 ? m / d : 0.0;
-    gain += static_cast<double>(sigma[u]) * (term_new - term_old);
+    const double term_new = (sched_mass[u] + x) / (denom[u] + x);
+    gain += static_cast<double>(sigma[u]) * (term_new - sched_share[u]);
   }
   return gain;
 }
@@ -130,20 +137,18 @@ double LuceLoss(const UserIndex* SES_RESTRICT users,
                 const float* SES_RESTRICT values, size_t n,
                 const double* SES_RESTRICT denom,
                 const double* SES_RESTRICT sched_mass,
+                const double* SES_RESTRICT sched_share,
                 const float* SES_RESTRICT sigma) {
   double loss = 0.0;
   for (size_t i = 0; i < n; ++i) {
     const UserIndex u = users[i];
     const double x = static_cast<double>(values[i]);
-    const double d = denom[u];
-    const double m = sched_mass[u];
-    const double term_with = d > 0.0 ? m / d : 0.0;
-    const double d_without = d - x;
-    const double m_without = m - x;
+    const double d_without = denom[u] - x;
+    const double m_without = sched_mass[u] - x;
     const double term_without =
         d_without > 1e-12 ? (m_without > 0.0 ? m_without / d_without : 0.0)
                           : 0.0;
-    loss += static_cast<double>(sigma[u]) * (term_with - term_without);
+    loss += static_cast<double>(sigma[u]) * (sched_share[u] - term_without);
   }
   return loss;
 }

@@ -10,9 +10,9 @@
 /// attendance.cc. This header centralizes both halves of that design:
 ///
 ///   - IntervalSoA: one bundle of contiguous, 64-byte-aligned spans per
-///     loaded interval — denominators D, scheduled mass M, the sigma
-///     row, and the touched-user list. Dense, index-addressed, built
-///     once per AttendanceModel::LoadInterval.
+///     loaded interval — denominators D, scheduled mass M, the scheduled
+///     share M / D, the sigma row, and the touched-user list. Dense,
+///     index-addressed, built once per AttendanceModel::LoadInterval.
 ///   - kernels::*: the inner loops as free functions over
 ///     restrict-qualified pointers. No per-element virtual dispatch, no
 ///     branches the compiler cannot if-convert, no aliasing it has to
@@ -24,7 +24,15 @@
 /// accumulator, so results are BIT-IDENTICAL to the reference loops —
 /// the speed comes from devirtualization, aliasing guarantees, and
 /// lane-parallel arithmetic inside one element, never from
-/// re-association. Kernels compared against the from-scratch
+/// re-association.
+///
+/// The scheduled share is the one hoisted value: sched_share[u] holds
+/// the exact double the inline `D > 0 ? M / D : 0.0` produced, written
+/// by the same kernel that last wrote that user's D and M (after the
+/// user's update, after TouchMass's clamp). LuceGain and LuceLoss read
+/// it instead of dividing, so each Eq. 4 term costs one division, and
+/// their sums stay bit-identical to the references that still divide
+/// inline. Kernels compared against the from-scratch
 /// objective.h references (different association by construction) are
 /// instead held to a documented 1e-6 relative tolerance. Both pins
 /// assume strict IEEE semantics, hence the fast-math guard below; the
@@ -62,12 +70,18 @@ struct IntervalSoA {
   explicit IntervalSoA(size_t num_users)
       : denom(num_users, 0.0),
         sched_mass(num_users, 0.0),
+        sched_share(num_users, 0.0),
         sigma(num_users, 0.0f),
         touched(num_users, 0),
         in_touched(num_users, 0) {}
 
   util::AlignedVector<double> denom;       ///< D = C + M per user
   util::AlignedVector<double> sched_mass;  ///< M per user
+  /// D > 0 ? M / D : 0.0 per user, kept current by the kernels that
+  /// write M (AccumulateMass's scheduled rows, TouchMass). Competing
+  /// rows and cache replays leave it alone: M is 0 there, so is the
+  /// share.
+  util::AlignedVector<double> sched_share;
   util::AlignedVector<float> sigma;        ///< sigma(u, t) scratch row
   util::AlignedVector<UserIndex> touched;  ///< users with non-zero scratch
   /// Byte mask deduplicating `touched`: in_touched[u] != 0 iff u is in
@@ -117,11 +131,12 @@ SES_HOT void FillSigmaHash(uint64_t seed, IntervalIndex t,
 /// out = row[0 .. out.size()) (DenseSigma's bulk row).
 SES_HOT void CopySigmaRow(std::span<const float> row, std::span<float> out);
 
-/// Zeroes D, M, and the dedup mask at the `n` touched indices
-/// (interval unload).
+/// Zeroes D, M, the share, and the dedup mask at the `n` touched
+/// indices (interval unload).
 SES_HOT void ClearTouched(const UserIndex* SES_RESTRICT touched, size_t n,
                           double* SES_RESTRICT denom,
                           double* SES_RESTRICT sched_mass,
+                          double* SES_RESTRICT sched_share,
                           uint8_t* SES_RESTRICT in_touched);
 
 /// Cache replay: denom[users[i]] = masses[i], recording each user in
@@ -138,7 +153,11 @@ SES_HOT size_t ScatterMasses(const UserIndex* SES_RESTRICT users,
 
 /// Scatter-adds one sparse interest row: denom[u] += values[i], and
 /// sched_mass[u] likewise when sched_mass is non-null (scheduled-event
-/// rows; null for competing rows, whose mass is not removable).
+/// rows; null for competing rows, whose mass is not removable). On
+/// scheduled rows each user's sched_share is rewritten after its
+/// update; on competing rows sched_share is not read and may be null.
+/// Competing rows must be folded before scheduled ones, as
+/// LoadInterval does, or a later competing add would stale the share.
 /// First-touched users (denom exactly 0 pre-add, not yet in the mask)
 /// are appended to `touched` at `num_touched`; returns the new count.
 /// `touched` must have capacity |U| — the mask makes that bound
@@ -147,39 +166,44 @@ SES_HOT size_t AccumulateMass(const UserIndex* SES_RESTRICT users,
                               const float* SES_RESTRICT values, size_t n,
                               double* SES_RESTRICT denom,
                               double* SES_RESTRICT sched_mass,
+                              double* SES_RESTRICT sched_share,
                               UserIndex* SES_RESTRICT touched,
                               uint8_t* SES_RESTRICT in_touched,
                               size_t num_touched);
 
 /// Signed variant for Apply/Unapply: adds sign * values[i] to D and M,
-/// clamping tiny negative cancellation residue to zero, appending
+/// clamping tiny negative cancellation residue to zero, then
+/// rewriting the user's share from the clamped D and M; appends
 /// first-touched users exactly like AccumulateMass. Returns the new
 /// touched count.
 SES_HOT size_t TouchMass(const UserIndex* SES_RESTRICT users,
                          const float* SES_RESTRICT values, size_t n,
                          double sign, double* SES_RESTRICT denom,
                          double* SES_RESTRICT sched_mass,
+                         double* SES_RESTRICT sched_share,
                          UserIndex* SES_RESTRICT touched,
                          uint8_t* SES_RESTRICT in_touched,
                          size_t num_touched);
 
 /// Eq. 4 (the Luce-choice gain): sum over the event's sparse interest
-/// row of sigma[u] * ((M + x) / (D + x) - (D > 0 ? M / D : 0)).
-/// Sequential single-accumulator sum — bit-identical to the scalar
-/// reference.
+/// row of sigma[u] * ((M + x) / (D + x) - sched_share[u]), where
+/// sched_share[u] is the stored D > 0 ? M / D : 0. Sequential
+/// single-accumulator sum — bit-identical to the scalar reference.
 SES_HOT double LuceGain(const UserIndex* SES_RESTRICT users,
                         const float* SES_RESTRICT values, size_t n,
                         const double* SES_RESTRICT denom,
                         const double* SES_RESTRICT sched_mass,
+                        const double* SES_RESTRICT sched_share,
                         const float* SES_RESTRICT sigma);
 
 /// Removal mirror of LuceGain for an event already folded into D and M:
-/// sum of sigma[u] * (M / D - (M - x) / (D - x)), with the emptied
-/// denominator guarded at 1e-12 exactly as the scalar code did.
+/// sum of sigma[u] * (sched_share[u] - (M - x) / (D - x)), with the
+/// emptied denominator guarded at 1e-12 exactly as the scalar code did.
 SES_HOT double LuceLoss(const UserIndex* SES_RESTRICT users,
                         const float* SES_RESTRICT values, size_t n,
                         const double* SES_RESTRICT denom,
                         const double* SES_RESTRICT sched_mass,
+                        const double* SES_RESTRICT sched_share,
                         const float* SES_RESTRICT sigma);
 
 }  // namespace kernels

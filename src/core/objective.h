@@ -17,8 +17,10 @@
 /// (core/kernels.h): tests/core_kernel_diff_test.cc pins
 /// kernels::LuceGain-backed MarginalGain against AssignmentScore to a
 /// 1e-6 relative tolerance — tolerance rather than bit-identity because
-/// these references sum in a different association (per-user map walk)
-/// than the incremental engine's single accumulator.
+/// these references sum each interval's utility from scratch, while the
+/// incremental engine accumulates per-evaluation differences. They
+/// share no code with the kernels: each interval's denominators are
+/// summed into one dense per-user array, reused across intervals.
 
 #include "core/instance.h"
 #include "core/schedule.h"
@@ -32,8 +34,8 @@ namespace ses::core {
 ///
 /// SES_HOT: evaluators sweep this over every (user, event) pair when
 /// reporting per-user probabilities, so the per-call body must stay
-/// allocation-free (the aggregate helpers below build scratch maps and
-/// are deliberately not hot).
+/// allocation-free (the aggregate helpers below build a scratch
+/// denominator array and are deliberately not hot).
 SES_HOT double AttendanceProbability(const SesInstance& instance,
                                      const Schedule& schedule, UserIndex u,
                                      EventIndex e);

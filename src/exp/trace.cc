@@ -4,6 +4,8 @@
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "core/registry.h"
 #include "util/string_util.h"
@@ -91,6 +93,9 @@ Status CheckInteger(double value, const std::string& path, double lo,
 /// Seeds are read as JSON doubles, which hold every integer up to 2^53
 /// exactly; larger values would silently round.
 constexpr double kMaxSeed = 9007199254740992.0;  // 2^53
+/// Instance dimensions are uint32_t; scheduler knobs are int.
+constexpr double kMaxDimension = 4294967295.0;  // UINT32_MAX
+constexpr double kMaxSchedulerKnob = 2147483647.0;  // 2^31 - 1
 
 Status CheckFraction(double value, const std::string& path) {
   if (!(value >= 0.0 && value <= 1.0)) {
@@ -238,37 +243,32 @@ Status ParseInstance(const JsonValue& instance, TraceSpec& spec) {
   SES_ASSIGN_OR_RETURN(
       value, OptionalNumber(instance, "instance", "k",
                             static_cast<double>(spec.workload.k)));
-  SES_RETURN_IF_ERROR(CheckPositive(value, "instance.k"));
+  SES_RETURN_IF_ERROR(CheckInteger(value, "instance.k", 1.0, kMaxDimension));
   spec.workload.k = static_cast<int64_t>(value);
+  // intervals and candidate_events: absent or 0 derives the paper
+  // default from k (PaperWorkloadConfig::Resolved*).
   SES_ASSIGN_OR_RETURN(
-      value, OptionalNumber(instance, "instance", "intervals",
-                            static_cast<double>(spec.workload.num_intervals)));
+      value, OptionalNumber(instance, "instance", "intervals", 0.0));
+  SES_RETURN_IF_ERROR(
+      CheckInteger(value, "instance.intervals", 0.0, kMaxDimension));
   spec.workload.num_intervals = static_cast<int64_t>(value);
   SES_ASSIGN_OR_RETURN(
-      value,
-      OptionalNumber(instance, "instance", "candidate_events",
-                     static_cast<double>(spec.workload.num_candidate_events)));
+      value, OptionalNumber(instance, "instance", "candidate_events", 0.0));
+  SES_RETURN_IF_ERROR(
+      CheckInteger(value, "instance.candidate_events", 0.0, kMaxDimension));
   spec.workload.num_candidate_events = static_cast<int64_t>(value);
-  SES_ASSIGN_OR_RETURN(
-      value, OptionalNumber(instance, "instance", "users",
-                            static_cast<double>(spec.dataset.num_users)));
-  SES_RETURN_IF_ERROR(CheckPositive(value, "instance.users"));
-  spec.dataset.num_users = static_cast<uint32_t>(value);
-  SES_ASSIGN_OR_RETURN(
-      value, OptionalNumber(instance, "instance", "events",
-                            static_cast<double>(spec.dataset.num_events)));
-  SES_RETURN_IF_ERROR(CheckPositive(value, "instance.events"));
-  spec.dataset.num_events = static_cast<uint32_t>(value);
-  SES_ASSIGN_OR_RETURN(
-      value, OptionalNumber(instance, "instance", "groups",
-                            static_cast<double>(spec.dataset.num_groups)));
-  SES_RETURN_IF_ERROR(CheckPositive(value, "instance.groups"));
-  spec.dataset.num_groups = static_cast<uint32_t>(value);
-  SES_ASSIGN_OR_RETURN(
-      value, OptionalNumber(instance, "instance", "tags",
-                            static_cast<double>(spec.dataset.num_tags)));
-  SES_RETURN_IF_ERROR(CheckPositive(value, "instance.tags"));
-  spec.dataset.num_tags = static_cast<uint32_t>(value);
+  const std::pair<const char*, uint32_t*> dimensions[] = {
+      {"users", &spec.dataset.num_users},
+      {"events", &spec.dataset.num_events},
+      {"groups", &spec.dataset.num_groups},
+      {"tags", &spec.dataset.num_tags}};
+  for (const auto& [key, field] : dimensions) {
+    SES_ASSIGN_OR_RETURN(value, OptionalNumber(instance, "instance", key,
+                                               static_cast<double>(*field)));
+    SES_RETURN_IF_ERROR(CheckInteger(value, std::string("instance.") + key,
+                                     1.0, kMaxDimension));
+    *field = static_cast<uint32_t>(value);
+  }
   SES_ASSIGN_OR_RETURN(value,
                        OptionalNumber(instance, "instance", "theta",
                                       spec.workload.theta));
@@ -295,17 +295,13 @@ Status ParseScheduler(const JsonValue& scheduler, TraceSpec& spec) {
   double value = 0.0;
   SES_ASSIGN_OR_RETURN(value,
                        OptionalNumber(scheduler, "scheduler", "threads", 0.0));
-  if (value < 0.0) {
-    return Status::InvalidArgument(
-        "trace descriptor: 'scheduler.threads' must be non-negative");
-  }
+  SES_RETURN_IF_ERROR(
+      CheckInteger(value, "scheduler.threads", 0.0, kMaxSchedulerKnob));
   spec.scheduler_threads = static_cast<int64_t>(value);
   SES_ASSIGN_OR_RETURN(
       value, OptionalNumber(scheduler, "scheduler", "max_queued", 0.0));
-  if (value < 0.0) {
-    return Status::InvalidArgument(
-        "trace descriptor: 'scheduler.max_queued' must be non-negative");
-  }
+  SES_RETURN_IF_ERROR(
+      CheckInteger(value, "scheduler.max_queued", 0.0, kMaxSchedulerKnob));
   spec.max_queued_requests = static_cast<int64_t>(value);
   SES_ASSIGN_OR_RETURN(
       spec.sweep_period_seconds,

@@ -11,12 +11,14 @@
 ///
 ///   BIT-IDENTICAL — kernel vs the scalar loop it replaced, and
 ///     MarginalGain vs a scalar from-scratch recompute that accumulates
-///     in the same order. The kernels preserve evaluation order, so any
-///     difference — one reassociated add, one fused multiply — is a
-///     test failure, not tolerance noise.
+///     in the same order, before and after Apply/Unapply churn. The
+///     kernels preserve evaluation order, and the stored share M / D is
+///     the double the references divide inline, so any difference — one
+///     reassociated add, one fused multiply — is a test failure, not
+///     tolerance noise.
 ///   ≤ 1e-6 RELATIVE — MarginalGain vs objective::AssignmentScore. The
-///     oracle sums per-user terms in a different association (hash-map
-///     walk over a schedule copy), so bit-equality is not defined;
+///     oracle sums each interval's utility from scratch and subtracts,
+///     a different association, so bit-equality is not defined;
 ///     1e-6 matches the pre-existing pin in core_attendance_test.cc.
 ///
 /// Degenerate shapes: |U|=1 (InstanceBuilder rejects |U|=0, so the
@@ -28,6 +30,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -185,6 +188,19 @@ SparseRow RandomRow(util::Rng& rng, uint32_t num_users, double density) {
   return row;
 }
 
+/// The share span the mass kernels maintain, derived the way the
+/// references divide inline: D > 0 ? M / D : 0 per user. Feeds the
+/// kernel side of the LuceGain/LuceLoss pins, and is what
+/// AccumulateMass and TouchMass must leave behind.
+std::vector<double> SchedShare(const std::vector<double>& denom,
+                               const std::vector<double>& sched_mass) {
+  std::vector<double> share(denom.size(), 0.0);
+  for (size_t u = 0; u < denom.size(); ++u) {
+    share[u] = denom[u] > 0.0 ? sched_mass[u] / denom[u] : 0.0;
+  }
+  return share;
+}
+
 /// Random dense per-user state with realistic structure: a fraction of
 /// users has zero mass (exercises the D == 0 branches) and M <= D.
 void RandomState(util::Rng& rng, uint32_t num_users,
@@ -219,9 +235,10 @@ TEST(KernelDiffTest, LuceGainBitIdenticalToReference) {
     const double density = seed == 0 ? 0.0 : rng.UniformDouble(0.1, 1.0);
     const SparseRow row = RandomRow(rng, num_users, density);
 
+    const std::vector<double> share = SchedShare(denom, sched);
     const double kernel = kernels::LuceGain(
         row.users.data(), row.values.data(), row.users.size(), denom.data(),
-        sched.data(), sigma.data());
+        sched.data(), share.data(), sigma.data());
     const double reference =
         ref::LuceGain(row.users, row.values, denom, sched, sigma);
     EXPECT_TRUE(BitEq(kernel, reference)) << "seed " << seed;
@@ -245,9 +262,10 @@ TEST(KernelDiffTest, LuceLossBitIdenticalToReference) {
       sched[row.users[i]] += static_cast<double>(row.values[i]);
     }
 
+    const std::vector<double> share = SchedShare(denom, sched);
     const double kernel = kernels::LuceLoss(
         row.users.data(), row.values.data(), row.users.size(), denom.data(),
-        sched.data(), sigma.data());
+        sched.data(), share.data(), sigma.data());
     const double reference =
         ref::LuceLoss(row.users, row.values, denom, sched, sigma);
     EXPECT_TRUE(BitEq(kernel, reference)) << "seed " << seed;
@@ -265,6 +283,7 @@ TEST(KernelDiffTest, AccumulateMassBitIdenticalToReference) {
       std::vector<uint8_t> ref_mask(num_users, 0);
       std::vector<double> soa_denom(num_users, 0.0);
       std::vector<double> soa_sched(num_users, 0.0);
+      std::vector<double> soa_share(num_users, 0.0);
       std::vector<UserIndex> soa_touched(num_users, 0);
       std::vector<uint8_t> soa_mask(num_users, 0);
       size_t num_touched = 0;
@@ -280,8 +299,11 @@ TEST(KernelDiffTest, AccumulateMassBitIdenticalToReference) {
         num_touched = kernels::AccumulateMass(
             row.users.data(), row.values.data(), row.users.size(),
             soa_denom.data(), with_sched ? soa_sched.data() : nullptr,
-            soa_touched.data(), soa_mask.data(), num_touched);
+            with_sched ? soa_share.data() : nullptr, soa_touched.data(),
+            soa_mask.data(), num_touched);
       }
+      // Competing rows (null M) leave the share at 0, where M / D is 0.
+      const std::vector<double> ref_share = SchedShare(ref_denom, ref_sched);
 
       ASSERT_EQ(num_touched, ref_touched.size()) << "seed " << seed;
       for (size_t i = 0; i < num_touched; ++i) {
@@ -290,6 +312,7 @@ TEST(KernelDiffTest, AccumulateMassBitIdenticalToReference) {
       for (UserIndex u = 0; u < num_users; ++u) {
         EXPECT_TRUE(BitEq(soa_denom[u], ref_denom[u])) << "seed " << seed;
         EXPECT_TRUE(BitEq(soa_sched[u], ref_sched[u])) << "seed " << seed;
+        EXPECT_TRUE(BitEq(soa_share[u], ref_share[u])) << "seed " << seed;
       }
     }
   }
@@ -305,6 +328,7 @@ TEST(KernelDiffTest, TouchMassBitIdenticalToReference) {
     std::vector<uint8_t> ref_mask(num_users, 0);
     std::vector<double> soa_denom(num_users, 0.0);
     std::vector<double> soa_sched(num_users, 0.0);
+    std::vector<double> soa_share(num_users, 0.0);
     std::vector<UserIndex> soa_touched(num_users, 0);
     std::vector<uint8_t> soa_mask(num_users, 0);
     size_t num_touched = 0;
@@ -329,19 +353,65 @@ TEST(KernelDiffTest, TouchMassBitIdenticalToReference) {
                      ref_touched, ref_mask);
       num_touched = kernels::TouchMass(
           row.users.data(), row.values.data(), row.users.size(), sign,
-          soa_denom.data(), soa_sched.data(), soa_touched.data(),
-          soa_mask.data(), num_touched);
+          soa_denom.data(), soa_sched.data(), soa_share.data(),
+          soa_touched.data(), soa_mask.data(), num_touched);
     }
 
     ASSERT_EQ(num_touched, ref_touched.size()) << "seed " << seed;
     for (size_t i = 0; i < num_touched; ++i) {
       EXPECT_EQ(soa_touched[i], ref_touched[i]) << "seed " << seed;
     }
+    // The share is taken after the clamps: a fully cancelled user reads
+    // 0, not a residue quotient.
+    const std::vector<double> ref_share = SchedShare(ref_denom, ref_sched);
     for (UserIndex u = 0; u < num_users; ++u) {
       EXPECT_TRUE(BitEq(soa_denom[u], ref_denom[u])) << "seed " << seed;
       EXPECT_TRUE(BitEq(soa_sched[u], ref_sched[u])) << "seed " << seed;
+      EXPECT_TRUE(BitEq(soa_share[u], ref_share[u])) << "seed " << seed;
+    }
+
+    // Unload: every span the churn wrote is back to zero.
+    kernels::ClearTouched(soa_touched.data(), num_touched, soa_denom.data(),
+                          soa_sched.data(), soa_share.data(),
+                          soa_mask.data());
+    for (UserIndex u = 0; u < num_users; ++u) {
+      EXPECT_TRUE(BitEq(soa_denom[u], 0.0)) << "seed " << seed;
+      EXPECT_TRUE(BitEq(soa_sched[u], 0.0)) << "seed " << seed;
+      EXPECT_TRUE(BitEq(soa_share[u], 0.0)) << "seed " << seed;
+      EXPECT_EQ(soa_mask[u], 0) << "seed " << seed;
     }
   }
+}
+
+// Rows 2^60 apart cannot be summed exactly: D = 1 + 2^-60 rounds to 1,
+// so removing both rows leaves D = M = -2^-60, which TouchMass clamps
+// to 0. The share must be taken from the clamped values (0), not from
+// the residue quotient (1).
+TEST(KernelDiffTest, TouchMassTakesShareAfterClamp) {
+  const std::vector<UserIndex> users = {0};
+  const std::vector<float> big = {1.0f};
+  const std::vector<float> tiny = {0x1p-60f};
+  std::vector<double> ref_denom(1, 0.0), ref_sched(1, 0.0);
+  std::vector<UserIndex> ref_touched;
+  std::vector<uint8_t> ref_mask(1, 0);
+  std::vector<double> denom(1, 0.0), sched(1, 0.0), share(1, 0.0);
+  std::vector<UserIndex> touched(1, 0);
+  std::vector<uint8_t> mask(1, 0);
+  size_t num_touched = 0;
+  const std::pair<const std::vector<float>*, double> steps[] = {
+      {&big, +1.0}, {&tiny, +1.0}, {&big, -1.0}, {&tiny, -1.0}};
+  for (const auto& [values, sign] : steps) {
+    ref::TouchMass(users, *values, sign, ref_denom, ref_sched, ref_touched,
+                   ref_mask);
+    num_touched = kernels::TouchMass(users.data(), values->data(), 1, sign,
+                                     denom.data(), sched.data(),
+                                     share.data(), touched.data(),
+                                     mask.data(), num_touched);
+  }
+  EXPECT_TRUE(BitEq(denom[0], ref_denom[0]));
+  EXPECT_TRUE(BitEq(sched[0], ref_sched[0]));
+  EXPECT_TRUE(BitEq(denom[0], 0.0));
+  EXPECT_TRUE(BitEq(share[0], 0.0));
 }
 
 TEST(KernelDiffTest, ScatterMassesReplaysExactDoubles) {
@@ -413,68 +483,7 @@ TEST(KernelDiffTest, SigmaFillKernelsBitIdenticalToPerElement) {
 // seeds.
 // ---------------------------------------------------------------------------
 
-enum class SigmaKind { kConst, kDense, kHashUniform };
-
-const char* Name(SigmaKind kind) {
-  switch (kind) {
-    case SigmaKind::kConst: return "Const";
-    case SigmaKind::kDense: return "Dense";
-    case SigmaKind::kHashUniform: return "HashUniform";
-  }
-  return "?";
-}
-
-/// MakeRandomInstance with a selectable sigma provider (the shared
-/// helper is hard-wired to HashUniformSigma).
-SesInstance MakeInstanceWithSigma(const test::RandomInstanceConfig& config,
-                                  SigmaKind kind) {
-  util::Rng rng(config.seed);
-  InstanceBuilder builder;
-  builder.SetNumUsers(config.num_users)
-      .SetNumIntervals(config.num_intervals)
-      .SetTheta(config.theta);
-  switch (kind) {
-    case SigmaKind::kConst:
-      builder.SetSigma(std::make_shared<ConstSigma>(0.6));
-      break;
-    case SigmaKind::kDense: {
-      std::vector<std::vector<float>> rows(
-          config.num_intervals, std::vector<float>(config.num_users));
-      for (auto& row : rows) {
-        for (float& v : row) {
-          v = static_cast<float>(rng.UniformDouble(0.0, 1.0));
-        }
-      }
-      builder.SetSigma(std::make_shared<DenseSigma>(std::move(rows)));
-      break;
-    }
-    case SigmaKind::kHashUniform:
-      builder.SetSigma(std::make_shared<HashUniformSigma>(config.seed));
-      break;
-  }
-
-  auto random_row = [&rng, &config] {
-    std::vector<std::pair<UserIndex, float>> row;
-    for (UserIndex u = 0; u < config.num_users; ++u) {
-      if (rng.Bernoulli(config.interest_density)) {
-        row.push_back({u, static_cast<float>(rng.UniformDouble(0.05, 1.0))});
-      }
-    }
-    return row;
-  };
-  for (uint32_t e = 0; e < config.num_events; ++e) {
-    builder.AddEvent(
-        static_cast<LocationId>(rng.NextBounded(config.num_locations)),
-        rng.UniformDouble(config.xi_min, config.xi_max), random_row());
-  }
-  for (uint32_t t = 0; t < config.num_intervals; ++t) {
-    const int count = util::PoissonSample(rng, config.competing_per_interval);
-    for (int c = 0; c < count; ++c) builder.AddCompetingEvent(t, random_row());
-  }
-  auto instance = builder.Build();
-  SES_CHECK(instance.ok()) << instance.status().ToString();
-  return std::move(instance).value();
-}
+using test::SigmaKind;
 
 /// Scalar from-scratch recompute of MarginalGain(e, t): rebuilds D/M by
 /// the reference accumulation loops in the exact order LoadInterval
@@ -503,10 +512,32 @@ double RefMarginalGain(const SesInstance& instance, const Schedule& schedule,
                        ToVec(instance.EventValues(e)), denom, sched, sigma);
 }
 
-/// Drives one instance: applies a few assignments, then sweeps every
-/// unassigned (e, t) cell comparing the model bitwise against the
-/// scalar recompute and within tolerance against the objective.h
-/// oracle.
+/// Sweeps every unassigned (e, t) cell comparing the model bitwise
+/// against the scalar recompute and within tolerance against the
+/// objective.h oracle.
+void SweepGains(const SesInstance& instance, AttendanceModel& model,
+                const std::string& label) {
+  for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
+    for (EventIndex e = 0; e < instance.num_events(); ++e) {
+      if (model.schedule().IsAssigned(e)) continue;
+      const double fast = model.MarginalGain(e, t);
+      const double scalar =
+          RefMarginalGain(instance, model.schedule(), e, t);
+      EXPECT_TRUE(BitEq(fast, scalar)) << label << " e=" << e << " t=" << t;
+      // Tolerance tier: the oracle associates differently, so compare
+      // relatively at the pre-existing 1e-6 pin.
+      const double oracle =
+          AssignmentScore(instance, model.schedule(), e, t);
+      const double denom_tol = std::max(1.0, std::abs(fast));
+      EXPECT_NEAR(fast, oracle, 1e-6 * denom_tol)
+          << label << " e=" << e << " t=" << t;
+    }
+  }
+}
+
+/// Drives one instance: applies a few assignments and sweeps every
+/// unassigned cell, then churns (Apply -> Unapply -> re-Apply) and
+/// sweeps again.
 void RunModelDiff(const SesInstance& instance, uint64_t seed,
                   const char* label) {
   AttendanceModel model(instance);
@@ -518,24 +549,40 @@ void RunModelDiff(const SesInstance& instance, uint64_t seed,
         static_cast<IntervalIndex>(rng.NextBounded(instance.num_intervals()));
     if (model.CanAssign(e, t)) model.Apply(e, t);
   }
+  const std::string base =
+      std::string(label) + " seed " + std::to_string(seed);
+  SweepGains(instance, model, base);
 
+  // Churn, interval by interval: unapplying every scheduled event
+  // cancels the interval's scheduled mass fully (users with no other
+  // mass there return to D = M = 0, share 0), and re-applying them on
+  // the still-loaded scratch leaves the shares to TouchMass alone. Then
+  // move every other assigned event to a random interval where it fits.
+  // Interest values are floats in [0.05, 1], so every D and M is an
+  // exact double sum whatever the order: Unapply restores exactly the
+  // values a fresh fold computes, and RefMarginalGain stays a bitwise
+  // reference.
   for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
-    for (EventIndex e = 0; e < instance.num_events(); ++e) {
-      if (model.schedule().IsAssigned(e)) continue;
-      const double fast = model.MarginalGain(e, t);
-      const double scalar =
-          RefMarginalGain(instance, model.schedule(), e, t);
-      EXPECT_TRUE(BitEq(fast, scalar))
-          << label << " seed " << seed << " e=" << e << " t=" << t;
-      // Tolerance tier: the oracle associates differently, so compare
-      // relatively at the pre-existing 1e-6 pin.
-      const double oracle =
-          AssignmentScore(instance, model.schedule(), e, t);
-      const double denom_tol = std::max(1.0, std::abs(fast));
-      EXPECT_NEAR(fast, oracle, 1e-6 * denom_tol)
-          << label << " seed " << seed << " e=" << e << " t=" << t;
+    const std::vector<EventIndex> events = model.schedule().EventsAt(t);
+    for (EventIndex e : events) model.Unapply(e);
+    for (EventIndex e : events) {
+      ASSERT_TRUE(model.CanAssign(e, t)) << base;
+      model.Apply(e, t);
     }
   }
+  for (EventIndex e = 0; e < instance.num_events(); e += 4) {
+    if (!model.schedule().IsAssigned(e)) continue;
+    const IntervalIndex from = model.schedule().IntervalOf(e);
+    model.Unapply(e);
+    const IntervalIndex to =
+        static_cast<IntervalIndex>(rng.NextBounded(instance.num_intervals()));
+    model.Apply(e, model.CanAssign(e, to) ? to : from);
+  }
+  EXPECT_NEAR(model.total_utility(),
+              TotalUtility(instance, model.schedule()),
+              1e-6 * std::max(1.0, std::abs(model.total_utility())))
+      << base;
+  SweepGains(instance, model, base + " after churn");
 }
 
 TEST(KernelDiffTest, ModelMatchesScalarRecomputeAcrossSigmaProviders) {
@@ -544,8 +591,8 @@ TEST(KernelDiffTest, ModelMatchesScalarRecomputeAcrossSigmaProviders) {
     for (uint64_t seed = 1; seed <= 5; ++seed) {
       test::RandomInstanceConfig config;
       config.seed = seed;
-      SesInstance instance = MakeInstanceWithSigma(config, kind);
-      RunModelDiff(instance, seed, Name(kind));
+      SesInstance instance = test::MakeRandomInstance(config, kind);
+      RunModelDiff(instance, seed, test::SigmaKindName(kind));
     }
   }
 }
@@ -558,8 +605,7 @@ TEST(KernelDiffTest, ModelMatchesScalarRecomputeOnDegenerateShapes) {
     test::RandomInstanceConfig config;
     config.num_users = 1;
     config.interest_density = 1.0;
-    SesInstance instance =
-        MakeInstanceWithSigma(config, SigmaKind::kHashUniform);
+    SesInstance instance = test::MakeRandomInstance(config);
     RunModelDiff(instance, config.seed, "single-user");
   }
   // Single interval: every event competes for the same scratch; the
@@ -568,7 +614,7 @@ TEST(KernelDiffTest, ModelMatchesScalarRecomputeOnDegenerateShapes) {
   {
     test::RandomInstanceConfig config;
     config.num_intervals = 1;
-    SesInstance instance = MakeInstanceWithSigma(config, SigmaKind::kDense);
+    SesInstance instance = test::MakeRandomInstance(config, SigmaKind::kDense);
     RunModelDiff(instance, config.seed, "single-interval");
   }
   // All users interested in everything: dense rows, no D == 0 cells
@@ -576,7 +622,7 @@ TEST(KernelDiffTest, ModelMatchesScalarRecomputeOnDegenerateShapes) {
   {
     test::RandomInstanceConfig config;
     config.interest_density = 1.0;
-    SesInstance instance = MakeInstanceWithSigma(config, SigmaKind::kConst);
+    SesInstance instance = test::MakeRandomInstance(config, SigmaKind::kConst);
     RunModelDiff(instance, config.seed, "all-interested");
   }
 }

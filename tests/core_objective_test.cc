@@ -1,8 +1,15 @@
 #include "core/objective.h"
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <unordered_map>
 
 #include <gtest/gtest.h>
+
+#include "tests/test_util.h"
+#include "util/random.h"
 
 namespace ses::core {
 namespace {
@@ -118,6 +125,74 @@ TEST(AssignmentScoreTest, EmptyIntervalBeatsCrowdedInterval) {
   // Placing e1 at the empty, competition-free t1 dominates t0.
   EXPECT_GT(AssignmentScore(instance, schedule, 1, 1),
             AssignmentScore(instance, schedule, 1, 0));
+}
+
+/// TotalUtility as it was before its denominators moved into a dense
+/// array: one hash map per interval, filled and read in the same order.
+double HashMapTotalUtility(const SesInstance& instance,
+                           const Schedule& schedule) {
+  double total = 0.0;
+  for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
+    const auto& events = schedule.EventsAt(t);
+    if (events.empty()) continue;
+    std::unordered_map<UserIndex, double> denom;
+    for (CompetingIndex c : instance.CompetingAt(t)) {
+      auto users = instance.CompetingUsers(c);
+      auto values = instance.CompetingValues(c);
+      for (size_t i = 0; i < users.size(); ++i) {
+        denom[users[i]] += values[i];
+      }
+    }
+    for (EventIndex p : events) {
+      auto users = instance.EventUsers(p);
+      auto values = instance.EventValues(p);
+      for (size_t i = 0; i < users.size(); ++i) {
+        denom[users[i]] += values[i];
+      }
+    }
+    for (EventIndex e : events) {
+      auto users = instance.EventUsers(e);
+      auto values = instance.EventValues(e);
+      for (size_t i = 0; i < users.size(); ++i) {
+        const double d = denom.at(users[i]);
+        if (d <= 0.0) continue;
+        total += instance.sigma().At(users[i], t) *
+                 static_cast<double>(values[i]) / d;
+      }
+    }
+  }
+  return total;
+}
+
+// The dense denominators only change where the sums live: every
+// per-user sum and the running total keep their order, so the result is
+// the same double, for every sigma provider and on partial schedules
+// that reuse the array across many intervals.
+TEST(ObjectiveTest, TotalUtilityBitIdenticalToHashMapReference) {
+  for (const test::SigmaKind kind :
+       {test::SigmaKind::kConst, test::SigmaKind::kDense,
+        test::SigmaKind::kHashUniform}) {
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+      test::RandomInstanceConfig config = test::MediumInstanceConfig(seed);
+      config.num_events = 40;
+      const SesInstance instance = test::MakeRandomInstance(config, kind);
+      util::Rng rng(seed);
+      Schedule schedule(instance);
+      for (EventIndex e = 0; e < instance.num_events(); ++e) {
+        const IntervalIndex t = static_cast<IntervalIndex>(
+            rng.NextBounded(instance.num_intervals()));
+        if (schedule.CanAssign(e, t)) {
+          ASSERT_TRUE(schedule.Assign(e, t).ok());
+        }
+        const double dense = TotalUtility(instance, schedule);
+        const double hashed = HashMapTotalUtility(instance, schedule);
+        EXPECT_EQ(std::bit_cast<uint64_t>(dense),
+                  std::bit_cast<uint64_t>(hashed))
+            << test::SigmaKindName(kind) << " seed " << seed << " after e="
+            << e << ": " << dense << " vs " << hashed;
+      }
+    }
+  }
 }
 
 }  // namespace

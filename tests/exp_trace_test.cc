@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,8 +30,9 @@ std::string ValidDescriptor() {
     "priority_mix": {"high": 1, "normal": 2, "batch": 1},
     "solver_mix": {"grd": 0.7, "rand": 0.3},
     "deadline": {"fraction": 0.5, "min_seconds": 0.1, "max_seconds": 0.4},
-    "instance": {"k": 10, "users": 300, "events": 200, "groups": 30,
-                 "tags": 40, "seed": 9},
+    "instance": {"k": 10, "intervals": 15, "candidate_events": 20,
+                 "users": 300, "events": 200, "groups": 30, "tags": 40,
+                 "seed": 9},
     "scheduler": {"threads": 2, "max_queued": 64,
                   "sweep_period_seconds": 0.05}
   })";
@@ -118,8 +120,9 @@ TEST(TraceSpecTest, MissingSeedNamesTheKey) {
       << spec.status().ToString();
 }
 
-/// ValidDescriptor() with the first `"key": <value>` rewritten.
-std::string WithTopLevelValue(const std::string& key,
+/// ValidDescriptor() with the first `"key": <value>` rewritten: the
+/// top-level one for `seed`, the only one for every other key.
+std::string WithValue(const std::string& key,
                               const std::string& value) {
   std::string text = ValidDescriptor();
   const std::string needle = "\"" + key + "\": ";
@@ -147,7 +150,7 @@ TEST(TraceSpecTest, RequestsAndSeedMustBeIntegersInRange) {
       {"seed", "1.5", util::StatusCode::kInvalidArgument},
   };
   for (const Case& c : cases) {
-    auto spec = TraceSpec::FromJsonText(WithTopLevelValue(c.key, c.value));
+    auto spec = TraceSpec::FromJsonText(WithValue(c.key, c.value));
     ASSERT_FALSE(spec.ok()) << c.key << "=" << c.value;
     EXPECT_EQ(spec.status().code(), c.code) << spec.status().ToString();
     EXPECT_NE(spec.status().message().find(std::string("'") + c.key + "'"),
@@ -156,16 +159,71 @@ TEST(TraceSpecTest, RequestsAndSeedMustBeIntegersInRange) {
   }
   // The bounds themselves are accepted.
   auto at_cap = TraceSpec::FromJsonText(
-      WithTopLevelValue("requests", std::to_string(kMaxTraceRequests)));
+      WithValue("requests", std::to_string(kMaxTraceRequests)));
   ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
   EXPECT_EQ(at_cap->num_requests, kMaxTraceRequests);
   auto max_seed =
-      TraceSpec::FromJsonText(WithTopLevelValue("seed", "9007199254740992"));
+      TraceSpec::FromJsonText(WithValue("seed", "9007199254740992"));
   ASSERT_TRUE(max_seed.ok()) << max_seed.status().ToString();
   EXPECT_EQ(max_seed->seed, uint64_t{1} << 53);
   auto too_many = TraceSpec::FromJsonText(
-      WithTopLevelValue("requests", std::to_string(kMaxTraceRequests + 1)));
+      WithValue("requests", std::to_string(kMaxTraceRequests + 1)));
   EXPECT_EQ(too_many.status().code(), util::StatusCode::kOutOfRange);
+}
+
+// Every count the loader casts is range-checked first: "users": 1e12
+// or "k": 1e30 used to be an undefined float-to-integer cast.
+TEST(TraceSpecTest, InstanceAndSchedulerCountsMustBeIntegersInRange) {
+  struct Field {
+    const char* path;
+    const char* below;  // just under the range
+    const char* lo;
+    const char* hi;
+    const char* above;  // just over the range
+  };
+  const Field fields[] = {
+      {"instance.k", "0", "1", "4294967295", "4294967296"},
+      {"instance.users", "0", "1", "4294967295", "4294967296"},
+      {"instance.events", "0", "1", "4294967295", "4294967296"},
+      {"instance.groups", "0", "1", "4294967295", "4294967296"},
+      {"instance.tags", "0", "1", "4294967295", "4294967296"},
+      {"instance.intervals", "-1", "0", "4294967295", "4294967296"},
+      {"instance.candidate_events", "-1", "0", "4294967295", "4294967296"},
+      {"scheduler.threads", "-1", "0", "2147483647", "2147483648"},
+      {"scheduler.max_queued", "-1", "0", "2147483647", "2147483648"},
+  };
+  for (const Field& f : fields) {
+    const std::string path = f.path;
+    const std::string key = path.substr(path.find('.') + 1);
+    for (const char* accepted : {f.lo, f.hi}) {
+      auto spec = TraceSpec::FromJsonText(WithValue(key, accepted));
+      EXPECT_TRUE(spec.ok()) << path << "=" << accepted << ": "
+                             << spec.status().ToString();
+    }
+    const std::pair<const char*, util::StatusCode> rejected[] = {
+        {f.below, util::StatusCode::kOutOfRange},
+        {f.above, util::StatusCode::kOutOfRange},
+        {"1e300", util::StatusCode::kOutOfRange},
+        {"2.5", util::StatusCode::kInvalidArgument},
+    };
+    for (const auto& [value, code] : rejected) {
+      auto spec = TraceSpec::FromJsonText(WithValue(key, value));
+      ASSERT_FALSE(spec.ok()) << path << "=" << value;
+      EXPECT_EQ(spec.status().code(), code)
+          << path << "=" << value << ": " << spec.status().ToString();
+      EXPECT_NE(spec.status().message().find("'" + path + "'"),
+                std::string::npos)
+          << spec.status().ToString();
+    }
+  }
+  // The upper bounds land in the spec unchanged.
+  auto users = TraceSpec::FromJsonText(WithValue("users", "4294967295"));
+  ASSERT_TRUE(users.ok());
+  EXPECT_EQ(users->dataset.num_users, 4294967295u);
+  auto threads =
+      TraceSpec::FromJsonText(WithValue("threads", "2147483647"));
+  ASSERT_TRUE(threads.ok());
+  EXPECT_EQ(threads->scheduler_threads, 2147483647);
 }
 
 TEST(TraceSpecTest, UnknownKeysAreRejectedEverywhere) {

@@ -29,15 +29,48 @@ struct RandomInstanceConfig {
   uint64_t seed = 42;
 };
 
-/// Builds a random, fully-validated small instance.
+/// The three SigmaProvider implementations, for suites that sweep them.
+enum class SigmaKind { kConst, kDense, kHashUniform };
+
+inline const char* SigmaKindName(SigmaKind kind) {
+  switch (kind) {
+    case SigmaKind::kConst: return "Const";
+    case SigmaKind::kDense: return "Dense";
+    case SigmaKind::kHashUniform: return "HashUniform";
+  }
+  return "?";
+}
+
+/// Builds a random, fully-validated small instance. The sigma provider
+/// is HashUniformSigma unless \p kind says otherwise: ConstSigma(0.6),
+/// or a DenseSigma drawn from the instance's rng ahead of the rows.
 inline core::SesInstance MakeRandomInstance(
-    const RandomInstanceConfig& config) {
+    const RandomInstanceConfig& config,
+    SigmaKind kind = SigmaKind::kHashUniform) {
   util::Rng rng(config.seed);
   core::InstanceBuilder builder;
   builder.SetNumUsers(config.num_users)
       .SetNumIntervals(config.num_intervals)
-      .SetTheta(config.theta)
-      .SetSigma(std::make_shared<core::HashUniformSigma>(config.seed));
+      .SetTheta(config.theta);
+  switch (kind) {
+    case SigmaKind::kConst:
+      builder.SetSigma(std::make_shared<core::ConstSigma>(0.6));
+      break;
+    case SigmaKind::kDense: {
+      std::vector<std::vector<float>> rows(
+          config.num_intervals, std::vector<float>(config.num_users));
+      for (auto& row : rows) {
+        for (float& v : row) {
+          v = static_cast<float>(rng.UniformDouble(0.0, 1.0));
+        }
+      }
+      builder.SetSigma(std::make_shared<core::DenseSigma>(std::move(rows)));
+      break;
+    }
+    case SigmaKind::kHashUniform:
+      builder.SetSigma(std::make_shared<core::HashUniformSigma>(config.seed));
+      break;
+  }
 
   auto random_row = [&rng, &config] {
     std::vector<std::pair<core::UserIndex, float>> row;
