@@ -18,6 +18,12 @@ uint32_t InterestRows::AddRow(
   return static_cast<uint32_t>(offsets_.size() - 2);
 }
 
+void InterestRows::Reserve(size_t num_rows, size_t num_entries) {
+  offsets_.reserve(offsets_.size() + num_rows);
+  users_.reserve(users_.size() + num_entries);
+  values_.reserve(values_.size() + num_entries);
+}
+
 std::span<const UserIndex> InterestRows::RowUsers(uint32_t row) const {
   SES_CHECK_LT(row, num_rows());
   return {users_.data() + offsets_[row],
@@ -159,12 +165,19 @@ util::Result<SesInstance> InstanceBuilder::Build() {
     instance.interval_competing_[instance.competing_[c].interval].push_back(
         static_cast<CompetingIndex>(c));
   }
-  for (auto& row : event_rows_) {
-    instance.event_interest_.AddRow(row.entries);
-  }
-  for (auto& row : competing_rows_) {
-    instance.competing_interest_.AddRow(row.entries);
-  }
+  // Size each CSR array once, then free every pending row as soon as it
+  // is copied in, so the two copies of the interests never coexist whole.
+  auto fill = [](std::vector<PendingRow>& pending, InterestRows& rows) {
+    size_t num_entries = 0;
+    for (const PendingRow& row : pending) num_entries += row.entries.size();
+    rows.Reserve(pending.size(), num_entries);
+    for (PendingRow& row : pending) {
+      rows.AddRow(row.entries);
+      row = {};
+    }
+  };
+  fill(event_rows_, instance.event_interest_);
+  fill(competing_rows_, instance.competing_interest_);
   return instance;
 }
 

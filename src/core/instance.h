@@ -42,6 +42,10 @@ class InterestRows {
   /// (0, 1]. Returns the row id.
   uint32_t AddRow(std::span<const std::pair<UserIndex, float>> entries);
 
+  /// Sizes the arrays for \p num_rows more rows holding \p num_entries
+  /// more entries in total, so the AddRow calls that follow never regrow.
+  void Reserve(size_t num_rows, size_t num_entries);
+
   /// Number of rows.
   size_t num_rows() const { return offsets_.size() - 1; }
 

@@ -1,5 +1,6 @@
 #include "core/instance_io.h"
 
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -167,6 +168,17 @@ Result<SesInstance> LoadInstance(const std::string& dir) {
     spec.kind = SigmaSpec::Kind::kHash;
   } else {
     return Status::ParseError("meta.csv: unknown sigma_kind: " + kind);
+  }
+  // ConstSigma checks its value on construction and aborts; a bad file
+  // must fail as a typed error before anything is built.
+  if (!std::isfinite(spec.const_value)) {
+    return Status::InvalidArgument(util::StrFormat(
+        "meta.csv: sigma_value=%g is not finite", spec.const_value));
+  }
+  if (spec.kind == SigmaSpec::Kind::kConst &&
+      (spec.const_value < 0.0 || spec.const_value > 1.0)) {
+    return Status::OutOfRange(util::StrFormat(
+        "meta.csv: sigma_value=%.17g outside [0, 1]", spec.const_value));
   }
 
   // --- interest triplets, grouped by row id ------------------------------

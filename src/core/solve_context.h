@@ -13,6 +13,7 @@
 /// kDeadlineExceeded or kCancelled — budgeted best-effort answers instead
 /// of all-or-nothing runs, which is what the ses::api serving layer needs.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -31,13 +32,27 @@ class Deadline {
   /// Never expires.
   static Deadline Unlimited() { return Deadline(); }
 
-  /// Expires \p seconds from now. Non-positive budgets are already
-  /// expired — useful for "validate + give me anything feasible" probes.
+  /// Expires \p seconds from now. Non-positive and NaN budgets are
+  /// already expired — useful for "validate + give me anything feasible"
+  /// probes. A budget beyond the clock's range (+inf included) saturates
+  /// to the latest representable time instead of overflowing.
   static Deadline After(double seconds) {
     Deadline deadline;
     deadline.limited_ = true;
-    deadline.at_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                      std::chrono::duration<double>(seconds));
+    const Clock::time_point now = Clock::now();
+    if (!(seconds > 0.0)) {
+      deadline.at_ = now;
+      return deadline;
+    }
+    const Clock::duration headroom = Clock::time_point::max() - now;
+    const std::chrono::duration<double> budget(seconds);
+    // The comparison runs in double, so the cast below only sees budgets
+    // below 2^63 ticks; the min absorbs the cast's rounding.
+    deadline.at_ = budget < headroom
+                       ? now + std::min(std::chrono::duration_cast<
+                                            Clock::duration>(budget),
+                                        headroom)
+                       : Clock::time_point::max();
     return deadline;
   }
 

@@ -1,6 +1,5 @@
 #include "ebsn/interest.h"
 
-#include <algorithm>
 #include <cstdint>
 
 #include "util/logging.h"
@@ -10,23 +9,17 @@ namespace ses::ebsn {
 namespace {
 
 /// Per-thread scatter scratch for EventInterests: intersection counts per
-/// user plus the list of touched users. Keyed by thread rather than by
-/// model so a shared const InterestModel is safe to query from many
-/// threads at once. The counts invariant — zero everywhere outside a
-/// call (reset-as-we-go below) — lets models over different datasets
-/// share one buffer; it only ever grows to the largest user universe the
-/// thread has seen.
-struct ScatterScratch {
-  std::vector<uint16_t> overlap_counts;
-  std::vector<EbsnUserId> touched;
-};
-
-ScatterScratch& LocalScratch(size_t num_users) {
-  thread_local ScatterScratch scratch;
-  if (scratch.overlap_counts.size() < num_users) {
-    scratch.overlap_counts.resize(num_users, 0);
+/// user. Keyed by thread rather than by model so a shared const
+/// InterestModel is safe to query from many threads at once. The
+/// invariant — zero everywhere outside a call (reset-as-we-go below) —
+/// lets models over different datasets share one buffer; it only ever
+/// grows to the largest user universe the thread has seen.
+std::vector<uint16_t>& LocalOverlapCounts(size_t num_users) {
+  thread_local std::vector<uint16_t> overlap_counts;
+  if (overlap_counts.size() < num_users) {
+    overlap_counts.resize(num_users, 0);
   }
-  return scratch;
+  return overlap_counts;
 }
 
 }  // namespace
@@ -44,22 +37,24 @@ InterestModel::InterestModel(const EbsnDataset& dataset)
 
 std::vector<UserInterest> InterestModel::EventInterests(
     const std::vector<TagId>& event_tags, float min_interest) const {
-  ScatterScratch& scratch = LocalScratch(dataset_->users().size());
-  scratch.touched.clear();
+  const auto& users = dataset_->users();
+  std::vector<uint16_t>& overlap_counts = LocalOverlapCounts(users.size());
+  size_t touched = 0;
   for (TagId tag : event_tags) {
     SES_CHECK_LT(tag, tag_users_.size());
     for (EbsnUserId u : tag_users_[tag]) {
-      if (scratch.overlap_counts[u] == 0) scratch.touched.push_back(u);
-      ++scratch.overlap_counts[u];
+      if (overlap_counts[u]++ == 0) ++touched;
     }
   }
+  // One sweep in user order emits the list already sorted by user and
+  // leaves every count zero again.
   std::vector<UserInterest> out;
-  out.reserve(scratch.touched.size());
-  const auto& users = dataset_->users();
+  out.reserve(touched);
   const float event_size = static_cast<float>(event_tags.size());
-  for (EbsnUserId u : scratch.touched) {
-    const float overlap = static_cast<float>(scratch.overlap_counts[u]);
-    scratch.overlap_counts[u] = 0;  // reset scratch as we go
+  for (EbsnUserId u = 0; u < users.size(); ++u) {
+    if (overlap_counts[u] == 0) continue;
+    const float overlap = static_cast<float>(overlap_counts[u]);
+    overlap_counts[u] = 0;  // reset scratch as we go
     const float union_size =
         static_cast<float>(users[u].tags.size()) + event_size - overlap;
     const float jaccard = union_size > 0 ? overlap / union_size : 0.0f;
@@ -67,10 +62,6 @@ std::vector<UserInterest> InterestModel::EventInterests(
       out.push_back({u, jaccard});
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const UserInterest& a, const UserInterest& b) {
-              return a.user < b.user;
-            });
   return out;
 }
 

@@ -9,9 +9,10 @@
 /// that organizes them and the interest of a user in an event is the
 /// Jaccard similarity of the two tag sets.
 ///
-/// The model pre-builds a tag -> users inverted index so the sparse
-/// interest list of one event costs O(sum over event tags of |users(tag)|)
-/// instead of O(|U|).
+/// The model pre-builds a tag -> users inverted index: the sparse
+/// interest list of one event scatters overlap counts over the users of
+/// each event tag, then sweeps the users once in id order, so it costs
+/// O(sum over event tags of |users(tag)| + |U|) and needs no sort.
 
 #include <utility>
 #include <vector>

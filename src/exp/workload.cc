@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
+#include <vector>
 
 #include "util/logging.h"
 #include "util/random.h"
@@ -12,10 +14,11 @@ namespace ses::exp {
 
 namespace {
 
+using InterestRow = std::vector<std::pair<core::UserIndex, float>>;
+
 /// Applies the min-interest threshold and the per-event user cap.
-std::vector<std::pair<core::UserIndex, float>> ToInterestRow(
-    std::vector<ebsn::UserInterest> interests, double min_interest,
-    int64_t cap) {
+InterestRow ToInterestRow(std::vector<ebsn::UserInterest> interests,
+                          double min_interest, int64_t cap) {
   if (cap > 0 && interests.size() > static_cast<size_t>(cap)) {
     // Keep the `cap` most interested users.
     std::nth_element(interests.begin(), interests.begin() + cap,
@@ -30,7 +33,7 @@ std::vector<std::pair<core::UserIndex, float>> ToInterestRow(
                 return a.user < b.user;
               });
   }
-  std::vector<std::pair<core::UserIndex, float>> row;
+  InterestRow row;
   row.reserve(interests.size());
   for (const ebsn::UserInterest& ui : interests) {
     if (ui.interest < min_interest) continue;
@@ -79,16 +82,27 @@ util::Result<core::SesInstance> WorkloadFactory::Build(
   const std::vector<uint32_t> candidate_ids = util::SampleWithoutReplacement(
       rng, static_cast<uint32_t>(catalog_size),
       static_cast<uint32_t>(num_events));
+  // mu depends only on the event's tag set, and a catalog of events from
+  // far fewer groups repeats tag sets many times over: each distinct set's
+  // row is computed once per Build and copied into every event that draws
+  // it. The memo is local, so Build stays const and thread-safe.
+  std::map<std::vector<ebsn::TagId>, InterestRow> rows_by_tags;
+  auto row_for = [&](uint32_t id) -> const InterestRow& {
+    const auto& tags = dataset_->events()[id].tags;
+    auto [it, inserted] = rows_by_tags.try_emplace(tags);
+    if (inserted) {
+      it->second = ToInterestRow(
+          interest_.EventInterests(tags,
+                                   static_cast<float>(config.min_interest)),
+          config.min_interest, config.max_users_per_event);
+    }
+    return it->second;
+  };
   for (uint32_t id : candidate_ids) {
-    const auto& record = dataset_->events()[id];
-    auto row = ToInterestRow(
-        interest_.EventInterests(record.tags,
-                                 static_cast<float>(config.min_interest)),
-        config.min_interest, config.max_users_per_event);
     const core::LocationId location = static_cast<core::LocationId>(
         rng.NextBounded(static_cast<uint64_t>(config.num_locations)));
     const double xi = rng.UniformDouble(config.xi_min, config.xi_max);
-    builder.AddEvent(location, xi, std::move(row));
+    builder.AddEvent(location, xi, row_for(id));
   }
 
   // Competing events: per interval, a uniform *integer* count on the
@@ -107,13 +121,8 @@ util::Result<core::SesInstance> WorkloadFactory::Build(
     for (int64_t c = 0; c < count; ++c) {
       const uint32_t id =
           static_cast<uint32_t>(rng.NextBounded(catalog_size));
-      const auto& record = dataset_->events()[id];
-      auto row = ToInterestRow(
-          interest_.EventInterests(record.tags,
-                                   static_cast<float>(config.min_interest)),
-          config.min_interest, config.max_users_per_event);
       builder.AddCompetingEvent(static_cast<core::IntervalIndex>(t),
-                                std::move(row));
+                                row_for(id));
     }
   }
 

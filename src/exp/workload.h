@@ -70,7 +70,10 @@ class WorkloadFactory {
   /// \p dataset must outlive the factory.
   explicit WorkloadFactory(const ebsn::EbsnDataset& dataset);
 
-  /// Materializes the SES instance for \p config.
+  /// Materializes the SES instance for \p config. mu depends only on an
+  /// event's tag set, so Build computes one thresholded, capped interest
+  /// row per distinct tag set it draws and copies it into every event
+  /// carrying that set; the memo lives for one call only.
   [[nodiscard]] util::Result<core::SesInstance> Build(
       const PaperWorkloadConfig& config) const;
 

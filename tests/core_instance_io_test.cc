@@ -202,6 +202,54 @@ TEST_F(InstanceIoTest, UserCountAboveUint32IsRejected) {
                             util::StatusCode::kOutOfRange);
 }
 
+/// Saves a default random instance with sigma kind \p kind, writes
+/// \p value into meta.csv's sigma_value, and loads it back.
+util::Result<SesInstance> LoadWithSigmaValue(const std::filesystem::path& dir,
+                                             SigmaSpec::Kind kind,
+                                             const std::string& value) {
+  SigmaSpec spec;
+  spec.kind = kind;
+  EXPECT_TRUE(
+      SaveInstance(test::MakeRandomInstance({}), spec, dir.string()).ok());
+  OverwriteCell(dir, "meta.csv", "sigma_value", 1, value);
+  return LoadInstance(dir.string());
+}
+
+// A non-finite sigma_value is a typed error for either kind: a const
+// sigma would abort in ConstSigma's constructor, and a hash sigma never
+// reads the value, so the file is corrupt all the same.
+TEST_F(InstanceIoTest, NonFiniteSigmaValueIsRejected) {
+  for (SigmaSpec::Kind kind : {SigmaSpec::Kind::kConst,
+                               SigmaSpec::Kind::kHash}) {
+    for (const char* value : {"nan", "inf", "-inf"}) {
+      auto loaded = LoadWithSigmaValue(dir_, kind, value);
+      ASSERT_FALSE(loaded.ok()) << value;
+      EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument)
+          << loaded.status().ToString();
+    }
+  }
+}
+
+TEST_F(InstanceIoTest, ConstSigmaValueOutsideUnitIntervalIsRejected) {
+  for (const char* value : {"-1", "2.0", "-1e-300", "1.0000000000000002"}) {
+    auto loaded = LoadWithSigmaValue(dir_, SigmaSpec::Kind::kConst, value);
+    ASSERT_FALSE(loaded.ok()) << value;
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kOutOfRange)
+        << loaded.status().ToString();
+  }
+}
+
+TEST_F(InstanceIoTest, ConstSigmaValueBoundsAreAccepted) {
+  for (const char* value : {"0", "1"}) {
+    auto loaded = LoadWithSigmaValue(dir_, SigmaSpec::Kind::kConst, value);
+    ASSERT_TRUE(loaded.ok()) << value << ": " << loaded.status().ToString();
+    EXPECT_EQ(loaded->sigma().At(0, 0), std::stod(value));
+  }
+  // The range only binds a const sigma; a hash sigma ignores the value.
+  auto hash = LoadWithSigmaValue(dir_, SigmaSpec::Kind::kHash, "2.0");
+  EXPECT_TRUE(hash.ok()) << hash.status().ToString();
+}
+
 TEST(SigmaSpecTest, InstantiateMatchesKind) {
   SigmaSpec const_spec;
   const_spec.kind = SigmaSpec::Kind::kConst;

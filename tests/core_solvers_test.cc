@@ -1,3 +1,5 @@
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "core/greedy.h"
@@ -144,6 +146,26 @@ TEST_P(SolverPropertyTest, RandomSolverDeterministicPerSeed) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverPropertyTest,
                          ::testing::Values(2, 3, 5, 7, 11, 13, 17, 19));
+
+// Budgets past the steady clock's ~292-year range used to overflow the
+// nanosecond cast (undefined behaviour that in practice expired at once);
+// they saturate now, and NaN joins the non-positive budgets as expired.
+TEST(DeadlineTest, HugeBudgetsSaturateInsteadOfExpiring) {
+  for (double seconds : {3600.0, 1e10, 1e300,
+                         std::numeric_limits<double>::infinity()}) {
+    const Deadline deadline = Deadline::After(seconds);
+    EXPECT_FALSE(deadline.unlimited()) << seconds;
+    EXPECT_FALSE(deadline.Expired()) << seconds;
+  }
+}
+
+TEST(DeadlineTest, NonPositiveAndNanBudgetsAreExpired) {
+  for (double seconds : {0.0, -1.0, -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_TRUE(Deadline::After(seconds).Expired()) << seconds;
+  }
+  EXPECT_FALSE(Deadline::Unlimited().Expired());
+}
 
 TEST(SolverOptionsTest, RejectsNonPositiveK) {
   test::RandomInstanceConfig config;
