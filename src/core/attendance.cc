@@ -111,8 +111,12 @@ double AttendanceModel::MarginalGain(EventIndex e, IntervalIndex t) {
 
 double AttendanceModel::LoadedGain(EventIndex e) const {
   SES_CHECK(!schedule_.IsAssigned(e)) << "gain is defined for new events";
-  auto users = instance_->EventUsers(e);
-  auto values = instance_->EventValues(e);
+  return LoadedClassGain(instance_->EventClass(e));
+}
+
+double AttendanceModel::LoadedClassGain(ClassIndex c) const {
+  auto users = instance_->ClassUsers(c);
+  auto values = instance_->ClassValues(c);
   return kernels::LuceGain(users.data(), values.data(), users.size(),
                            soa_.denom.data(), soa_.sched_mass.data(),
                            soa_.sched_share.data(), sigma_row_);

@@ -114,6 +114,11 @@ class AttendanceModel {
   /// in gain_evaluations(); callers count their own.
   SES_HOT double LoadedGain(EventIndex e) const;
 
+  /// LoadedGain of any unassigned member of event class \p c: every
+  /// member shares the row Eq. 4 reads. Also defined when all of c's
+  /// members are assigned (the score the row would have). Not counted.
+  SES_HOT double LoadedClassGain(ClassIndex c) const;
+
   /// Assigns e to t (must be valid) and updates the tracked utility by
   /// the exact gain.
   void Apply(EventIndex e, IntervalIndex t);

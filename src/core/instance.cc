@@ -1,6 +1,7 @@
 #include "core/instance.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/logging.h"
@@ -18,10 +19,20 @@ uint32_t InterestRows::AddRow(
   return static_cast<uint32_t>(offsets_.size() - 2);
 }
 
-void InterestRows::Reserve(size_t num_rows, size_t num_entries) {
-  offsets_.reserve(offsets_.size() + num_rows);
-  users_.reserve(users_.size() + num_entries);
-  values_.reserve(values_.size() + num_entries);
+bool InterestRows::RowEquals(
+    uint32_t row,
+    std::span<const std::pair<UserIndex, float>> entries) const {
+  const auto users = RowUsers(row);
+  const auto values = RowValues(row);
+  if (users.size() != entries.size()) return false;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (users[i] != entries[i].first ||
+        std::bit_cast<uint32_t>(values[i]) !=
+            std::bit_cast<uint32_t>(entries[i].second)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::span<const UserIndex> InterestRows::RowUsers(uint32_t row) const {
@@ -59,6 +70,32 @@ std::span<const CompetingIndex> SesInstance::CompetingAt(
   return interval_competing_[t];
 }
 
+ClassIndex SesInstance::EventClass(EventIndex e) const {
+  SES_CHECK_LT(e, event_class_.size());
+  return event_class_[e];
+}
+
+std::span<const EventIndex> SesInstance::ClassMembers(ClassIndex c) const {
+  SES_CHECK_LT(c, class_row_.size());
+  return {class_members_.data() + class_offsets_[c],
+          static_cast<size_t>(class_offsets_[c + 1] - class_offsets_[c])};
+}
+
+uint32_t SesInstance::EventRow(EventIndex e) const {
+  SES_CHECK_LT(e, event_row_.size());
+  return event_row_[e];
+}
+
+uint32_t SesInstance::CompetingRow(CompetingIndex c) const {
+  SES_CHECK_LT(c, competing_row_.size());
+  return competing_row_[c];
+}
+
+uint32_t SesInstance::ClassRow(ClassIndex c) const {
+  SES_CHECK_LT(c, class_row_.size());
+  return class_row_[c];
+}
+
 InstanceBuilder& InstanceBuilder::SetNumUsers(uint32_t n) {
   num_users_ = n;
   return *this;
@@ -80,38 +117,69 @@ InstanceBuilder& InstanceBuilder::SetSigma(
   return *this;
 }
 
-EventIndex InstanceBuilder::AddEvent(
-    LocationId location, double required_resources,
-    std::vector<std::pair<UserIndex, float>> interests) {
+RowId InstanceBuilder::AddRow(
+    std::span<const std::pair<UserIndex, float>> entries) {
+  // FNV-1a over each entry's user and value bits.
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const auto& [user, value] : entries) {
+    const uint64_t word = (static_cast<uint64_t>(user) << 32) |
+                          std::bit_cast<uint32_t>(value);
+    hash = (hash ^ word) * 0x100000001b3ULL;
+  }
+  const auto [lo, hi] = row_index_.equal_range(hash);
+  for (auto it = lo; it != hi; ++it) {
+    if (rows_.RowEquals(it->second, entries)) return RowId(it->second);
+  }
+  const uint32_t row = rows_.AddRow(entries);
+  row_index_.emplace(hash, row);
+  return RowId(row);
+}
+
+EventIndex InstanceBuilder::AddEvent(LocationId location,
+                                     double required_resources, RowId row) {
   events_.push_back({location, required_resources});
-  event_rows_.push_back({std::move(interests)});
+  event_row_.push_back(row.value);
   return static_cast<EventIndex>(events_.size() - 1);
 }
 
-CompetingIndex InstanceBuilder::AddCompetingEvent(
-    IntervalIndex interval,
-    std::vector<std::pair<UserIndex, float>> interests) {
+EventIndex InstanceBuilder::AddEvent(LocationId location,
+                                     double required_resources,
+                                     const Entries& interests) {
+  return AddEvent(location, required_resources, AddRow(interests));
+}
+
+CompetingIndex InstanceBuilder::AddCompetingEvent(IntervalIndex interval,
+                                                  RowId row) {
   competing_.push_back({interval});
-  competing_rows_.push_back({std::move(interests)});
+  competing_row_.push_back(row.value);
   return static_cast<CompetingIndex>(competing_.size() - 1);
 }
 
-util::Status InstanceBuilder::ValidateRow(
-    const std::vector<std::pair<UserIndex, float>>& row, const char* what,
-    size_t index) const {
-  for (size_t i = 0; i < row.size(); ++i) {
-    const auto& [user, value] = row[i];
-    if (user >= num_users_) {
+CompetingIndex InstanceBuilder::AddCompetingEvent(IntervalIndex interval,
+                                                  const Entries& interests) {
+  return AddCompetingEvent(interval, AddRow(interests));
+}
+
+util::Status InstanceBuilder::ValidateRow(uint32_t row, const char* what,
+                                          size_t index) const {
+  if (row >= rows_.num_rows()) {
+    return util::Status::OutOfRange(util::StrFormat(
+        "%s %zu: row id %u out of range", what, index, row));
+  }
+  const auto users = rows_.RowUsers(row);
+  const auto values = rows_.RowValues(row);
+  for (size_t i = 0; i < users.size(); ++i) {
+    if (users[i] >= num_users_) {
       return util::Status::OutOfRange(util::StrFormat(
-          "%s %zu: user %u out of range (|U|=%u)", what, index, user,
+          "%s %zu: user %u out of range (|U|=%u)", what, index, users[i],
           num_users_));
     }
-    if (!(value > 0.0f) || value > 1.0f) {
+    if (!(values[i] > 0.0f) || values[i] > 1.0f) {
       return util::Status::InvalidArgument(util::StrFormat(
           "%s %zu: interest %f outside (0,1]", what, index,
-          static_cast<double>(value)));
+          static_cast<double>(values[i])));
     }
-    if (i > 0 && row[i - 1].first >= user) {
+    if (i > 0 && users[i - 1] >= users[i]) {
       return util::Status::FailedPrecondition(util::StrFormat(
           "%s %zu: interest row not sorted/unique by user", what, index));
     }
@@ -134,6 +202,16 @@ util::Result<SesInstance> InstanceBuilder::Build() {
   if (sigma_ == nullptr) {
     return util::Status::InvalidArgument("sigma provider not set");
   }
+  // Each pooled row is validated once, on its first use, so an error
+  // names the first event that uses the bad row.
+  std::vector<bool> validated(rows_.num_rows(), false);
+  auto validate = [&](uint32_t row, const char* what,
+                      size_t index) -> util::Status {
+    if (row < validated.size() && validated[row]) return util::Status::Ok();
+    SES_RETURN_IF_ERROR(ValidateRow(row, what, index));
+    validated[row] = true;
+    return util::Status::Ok();
+  };
   for (size_t e = 0; e < events_.size(); ++e) {
     const double resources = events_[e].required_resources;
     if (!std::isfinite(resources) || resources < 0.0) {
@@ -141,7 +219,7 @@ util::Result<SesInstance> InstanceBuilder::Build() {
           "event %zu: required resources must be finite and non-negative",
           e));
     }
-    SES_RETURN_IF_ERROR(ValidateRow(event_rows_[e].entries, "event", e));
+    SES_RETURN_IF_ERROR(validate(event_row_[e], "event", e));
   }
   for (size_t c = 0; c < competing_.size(); ++c) {
     if (competing_[c].interval >= num_intervals_) {
@@ -149,8 +227,7 @@ util::Result<SesInstance> InstanceBuilder::Build() {
           "competing event %zu: interval %u out of range", c,
           competing_[c].interval));
     }
-    SES_RETURN_IF_ERROR(
-        ValidateRow(competing_rows_[c].entries, "competing event", c));
+    SES_RETURN_IF_ERROR(validate(competing_row_[c], "competing event", c));
   }
 
   SesInstance instance;
@@ -158,26 +235,44 @@ util::Result<SesInstance> InstanceBuilder::Build() {
   instance.num_intervals_ = num_intervals_;
   instance.theta_ = theta_;
   instance.sigma_ = std::move(sigma_);
-  instance.events_ = std::move(events_);
-  instance.competing_ = std::move(competing_);
   instance.interval_competing_.resize(num_intervals_);
-  for (size_t c = 0; c < instance.competing_.size(); ++c) {
-    instance.interval_competing_[instance.competing_[c].interval].push_back(
+  for (size_t c = 0; c < competing_.size(); ++c) {
+    instance.interval_competing_[competing_[c].interval].push_back(
         static_cast<CompetingIndex>(c));
   }
-  // Size each CSR array once, then free every pending row as soon as it
-  // is copied in, so the two copies of the interests never coexist whole.
-  auto fill = [](std::vector<PendingRow>& pending, InterestRows& rows) {
-    size_t num_entries = 0;
-    for (const PendingRow& row : pending) num_entries += row.entries.size();
-    rows.Reserve(pending.size(), num_entries);
-    for (PendingRow& row : pending) {
-      rows.AddRow(row.entries);
-      row = {};
+  // Classes, numbered in order of their lowest member; each member list
+  // comes out sorted because events are visited in index order.
+  std::vector<ClassIndex> row_class(rows_.num_rows(), kInvalidIndex);
+  std::vector<uint32_t> class_sizes;
+  instance.event_class_.resize(events_.size());
+  for (size_t e = 0; e < events_.size(); ++e) {
+    const uint32_t row = event_row_[e];
+    if (row_class[row] == kInvalidIndex) {
+      row_class[row] = static_cast<ClassIndex>(instance.class_row_.size());
+      instance.class_row_.push_back(row);
+      class_sizes.push_back(0);
     }
-  };
-  fill(event_rows_, instance.event_interest_);
-  fill(competing_rows_, instance.competing_interest_);
+    instance.event_class_[e] = row_class[row];
+    ++class_sizes[row_class[row]];
+    instance.num_interest_entries_ += rows_.RowUsers(row).size();
+  }
+  instance.class_offsets_.reserve(class_sizes.size() + 1);
+  for (uint32_t size : class_sizes) {
+    instance.class_offsets_.push_back(instance.class_offsets_.back() + size);
+  }
+  instance.class_members_.resize(events_.size());
+  std::vector<uint32_t> next(instance.class_offsets_.begin(),
+                             instance.class_offsets_.end() - 1);
+  for (size_t e = 0; e < events_.size(); ++e) {
+    instance.class_members_[next[instance.event_class_[e]]++] =
+        static_cast<EventIndex>(e);
+  }
+  instance.events_ = std::move(events_);
+  instance.competing_ = std::move(competing_);
+  instance.event_row_ = std::move(event_row_);
+  instance.competing_row_ = std::move(competing_row_);
+  instance.rows_ = std::move(rows_);
+  row_index_ = {};
   return instance;
 }
 

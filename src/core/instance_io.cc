@@ -42,6 +42,23 @@ Result<uint32_t> RequireCount(const std::map<std::string, std::string>& meta,
   return static_cast<uint32_t>(value.value());
 }
 
+/// An id field (user, location, interval): range-checked against
+/// [0, UINT32_MAX] before the narrowing cast, so an out-of-range value
+/// is a typed error instead of wrapping around into a valid id.
+Result<uint32_t> ParseId(const std::string& field, const std::string& file,
+                         const char* column) {
+  auto value = util::ParseInt64(field);
+  if (!value.ok()) return value.status();
+  if (value.value() < 0 ||
+      value.value() > std::numeric_limits<uint32_t>::max()) {
+    return Status::OutOfRange(util::StrFormat(
+        "%s: %s=%lld outside [0, %u]", file.c_str(), column,
+        static_cast<long long>(value.value()),
+        std::numeric_limits<uint32_t>::max()));
+  }
+  return static_cast<uint32_t>(value.value());
+}
+
 Result<double> RequireDouble(const std::map<std::string, std::string>& meta,
                              const std::string& key) {
   auto it = meta.find(key);
@@ -194,7 +211,7 @@ Result<SesInstance> LoadInstance(const std::string& dir) {
       if (row.size() != 3) return Status::ParseError(file + ": bad row");
       auto id = util::ParseInt64(row[0]);
       if (!id.ok()) return id.status();
-      auto user = util::ParseInt64(row[1]);
+      auto user = ParseId(row[1], file, "user_id");
       if (!user.ok()) return user.status();
       auto mu = util::ParseDouble(row[2]);
       if (!mu.ok()) return mu.status();
@@ -202,8 +219,7 @@ Result<SesInstance> LoadInstance(const std::string& dir) {
         return Status::OutOfRange(file + ": row id out of range");
       }
       (*out)[static_cast<size_t>(id.value())].push_back(
-          {static_cast<UserIndex>(user.value()),
-           static_cast<float>(mu.value())});
+          {user.value(), static_cast<float>(mu.value())});
     }
     return Status::Ok();
   };
@@ -220,12 +236,11 @@ Result<SesInstance> LoadInstance(const std::string& dir) {
     if (!rows.ok()) return rows.status();
     for (const CsvRow& row : rows.value()) {
       if (row.size() != 3) return Status::ParseError("events.csv: bad row");
-      auto location = util::ParseInt64(row[1]);
+      auto location = ParseId(row[1], "events.csv", "location");
       if (!location.ok()) return location.status();
       auto resources = util::ParseDouble(row[2]);
       if (!resources.ok()) return resources.status();
-      events.push_back({static_cast<LocationId>(location.value()),
-                        resources.value()});
+      events.push_back({location.value(), resources.value()});
     }
   }
   std::vector<std::vector<std::pair<UserIndex, float>>> event_rows;
@@ -242,9 +257,9 @@ Result<SesInstance> LoadInstance(const std::string& dir) {
       if (row.size() != 2) {
         return Status::ParseError("competing.csv: bad row");
       }
-      auto interval = util::ParseInt64(row[1]);
+      auto interval = ParseId(row[1], "competing.csv", "interval");
       if (!interval.ok()) return interval.status();
-      competing.push_back(static_cast<IntervalIndex>(interval.value()));
+      competing.push_back(interval.value());
     }
   }
   std::vector<std::vector<std::pair<UserIndex, float>>> competing_rows;

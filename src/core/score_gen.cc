@@ -16,58 +16,68 @@ namespace ses::core {
 
 namespace {
 
-/// Scores intervals [lo, hi) on \p model, writing into the dense grid.
-/// Returns the number of evaluations; sets \p termination and stops at
-/// an interval boundary when the context says so.
+/// Scores intervals [lo, hi) of the class grid on \p model, one cell
+/// per class in \p classes. Returns the number of evaluations; sets
+/// \p termination and stops at an interval boundary when the context
+/// says so.
 ///
-/// SES_HOT: this is the per-shard fill of the O(|E|·|T|) generation
-/// pass — every cell funnels through MarginalGain with no per-cell
+/// SES_HOT: this is the per-shard fill of the O(C·|T|) generation pass
+/// — every cell funnels through LoadedClassGain with no per-cell
 /// allocation, locking, or IO.
-SES_HOT uint64_t ScoreRange(const SesInstance& instance,
-                            AttendanceModel& model,
-                            const SolveContext& context, size_t lo, size_t hi,
+SES_HOT uint64_t ScoreRange(AttendanceModel& model,
+                            const SolveContext& context,
+                            std::span<const ClassIndex> classes,
+                            size_t num_classes, size_t lo, size_t hi,
                             std::vector<double>& scores,
                             util::Status* termination) {
-  const size_t num_events = instance.num_events();
   uint64_t evaluations = 0;
   for (size_t t = lo; t < hi; ++t) {
     // Deliberate boundary poll: one deadline/cancellation check per
-    // interval row (a clock read), amortized over |E| gain evaluations.
-    if (context.CheckStop(termination)) break;  // ses-lint: allow(hot-path) boundary poll, once per |E|-cell row
+    // interval row (a clock read), amortized over C gain evaluations.
+    if (context.CheckStop(termination)) break;  // ses-lint: allow(hot-path) boundary poll, once per C-cell row
+    model.LoadInterval(static_cast<IntervalIndex>(t));
     // Hoisted restrict row pointer: shards own disjoint [lo, hi) rows,
     // so nothing else aliases this row while we fill it, and the
     // compiler may keep the base address in a register across the row.
-    double* SES_RESTRICT row = scores.data() + t * num_events;
-    for (EventIndex e = 0; e < num_events; ++e) {
-      if (model.schedule().IsAssigned(e)) continue;  // warm-started
-      row[e] = model.MarginalGain(e, static_cast<IntervalIndex>(t));
-      ++evaluations;
-    }
+    double* SES_RESTRICT row = scores.data() + t * num_classes;
+    for (ClassIndex c : classes) row[c] = model.LoadedClassGain(c);
+    evaluations += classes.size();
   }
   return evaluations;
 }
 
-/// Re-scores candidates [lo, hi) of one row against \p model's loaded
-/// interval \p t: a feasible candidate's cell gets its gain, any other
-/// candidate's cell kDeadScore. Returns the number of gains evaluated.
+/// Re-scores classes [lo, hi) of one row against \p model's loaded
+/// interval \p t: a class with a live member gets its gain, any other
+/// class's cell kDeadScore. Returns the number of gains evaluated.
 ///
 /// SES_HOT: the per-shard body of every GRD/bestfit row refresh. It
-/// only reads the model (LoadedGain is const), so shards of one row run
-/// concurrently on one model and write disjoint cells.
+/// only reads the model (LoadedClassGain is const), so shards of one
+/// row run concurrently on one model and write disjoint cells.
 SES_HOT uint64_t RefreshRange(const AttendanceModel& model, IntervalIndex t,
-                              const EventIndex* candidates, size_t lo,
-                              size_t hi, double* row) {
+                              size_t lo, size_t hi, double* row) {
   uint64_t evaluations = 0;
   for (size_t i = lo; i < hi; ++i) {
-    const EventIndex e = candidates[i];
-    if (!model.CanAssign(e, t)) {
-      row[e] = kDeadScore;
+    const auto c = static_cast<ClassIndex>(i);
+    if (LowestLiveMember(model.schedule(), c, t) == kInvalidIndex) {
+      row[c] = kDeadScore;
       continue;
     }
-    row[e] = model.LoadedGain(e);
+    row[c] = model.LoadedClassGain(c);
     ++evaluations;
   }
   return evaluations;
+}
+
+/// The classes with a member that \p warm_start leaves unassigned.
+std::vector<ClassIndex> UnplacedClasses(
+    const SesInstance& instance, std::span<const Assignment> warm_start) {
+  std::vector<uint32_t> placed(instance.num_event_classes(), 0);
+  for (const Assignment& a : warm_start) ++placed[instance.EventClass(a.event)];
+  std::vector<ClassIndex> classes;
+  for (ClassIndex c = 0; c < placed.size(); ++c) {
+    if (placed[c] < instance.ClassMembers(c).size()) classes.push_back(c);
+  }
+  return classes;
 }
 
 }  // namespace
@@ -94,14 +104,24 @@ ScoreShards::ScoreShards(const SolverOptions& options)
   pool_ = local_pool_.get();
 }
 
-ScoreGenResult GenerateAssignmentScores(const SesInstance& instance,
-                                        const SolverOptions& options,
-                                        ScoreShards& shards,
-                                        const SolveContext& context,
-                                        std::vector<double>& scores) {
+EventIndex LowestLiveMember(const Schedule& schedule, ClassIndex c,
+                            IntervalIndex t) {
+  for (EventIndex e : schedule.instance().ClassMembers(c)) {
+    if (schedule.CanAssign(e, t)) return e;
+  }
+  return kInvalidIndex;
+}
+
+ScoreGenResult GenerateClassScores(const SesInstance& instance,
+                                   const SolverOptions& options,
+                                   ScoreShards& shards,
+                                   const SolveContext& context,
+                                   std::vector<double>& scores) {
   const size_t num_intervals = instance.num_intervals();
-  SES_CHECK_EQ(scores.size(),
-               num_intervals * static_cast<size_t>(instance.num_events()));
+  const size_t num_classes = instance.num_event_classes();
+  SES_CHECK_EQ(scores.size(), num_intervals * num_classes);
+  const std::vector<ClassIndex> classes =
+      UnplacedClasses(instance, options.warm_start);
 
   ScoreGenResult result;
   std::atomic<uint64_t> evaluations{0};
@@ -121,8 +141,8 @@ ScoreGenResult GenerateAssignmentScores(const SesInstance& instance,
     SES_CHECK(ApplyWarmStart(model, options.warm_start).ok())
         << "warm start must be validated before score generation";
     util::Status termination;
-    evaluations.fetch_add(ScoreRange(instance, model, context, lo, hi,
-                                     scores, &termination),
+    evaluations.fetch_add(ScoreRange(model, context, classes, num_classes,
+                                     lo, hi, scores, &termination),
                           std::memory_order_relaxed);
     if (!termination.ok()) {
       util::MutexLock lock(stop.mutex);
@@ -145,24 +165,40 @@ ScoreGenResult GenerateAssignmentScores(const SesInstance& instance,
                                         const SolverOptions& options,
                                         const SolveContext& context,
                                         std::vector<double>& scores) {
+  const size_t num_events = instance.num_events();
+  const size_t num_classes = instance.num_event_classes();
+  SES_CHECK_EQ(scores.size(), instance.num_intervals() * num_events);
+  std::vector<double> class_scores(instance.num_intervals() * num_classes);
   ScoreShards shards(options);
-  return GenerateAssignmentScores(instance, options, shards, context,
-                                  scores);
+  ScoreGenResult result = GenerateClassScores(instance, options, shards,
+                                              context, class_scores);
+  if (!result.termination.ok()) return result;
+  std::vector<bool> warm_started(num_events, false);
+  for (const Assignment& a : options.warm_start) {
+    warm_started[a.event] = true;
+  }
+  for (size_t t = 0; t < instance.num_intervals(); ++t) {
+    for (EventIndex e = 0; e < num_events; ++e) {
+      if (warm_started[e]) continue;
+      scores[t * num_events + e] =
+          class_scores[t * num_classes + instance.EventClass(e)];
+    }
+  }
+  return result;
 }
 
 uint64_t RefreshIntervalScores(AttendanceModel& model, IntervalIndex t,
-                               std::span<const EventIndex> candidates,
                                ScoreShards& shards,
                                std::vector<double>& scores) {
-  const size_t num_events = model.schedule().instance().num_events();
-  SES_CHECK_LE((static_cast<size_t>(t) + 1) * num_events, scores.size());
+  const size_t num_classes =
+      model.schedule().instance().num_event_classes();
+  SES_CHECK_LE((static_cast<size_t>(t) + 1) * num_classes, scores.size());
   model.LoadInterval(t);
-  double* row = scores.data() + static_cast<size_t>(t) * num_events;
+  double* row = scores.data() + static_cast<size_t>(t) * num_classes;
   std::atomic<uint64_t> evaluations{0};
-  shards.ForEachShard(candidates.size(), [&](size_t lo, size_t hi) {
-    evaluations.fetch_add(
-        RefreshRange(model, t, candidates.data(), lo, hi, row),
-        std::memory_order_relaxed);
+  shards.ForEachShard(num_classes, [&](size_t lo, size_t hi) {
+    evaluations.fetch_add(RefreshRange(model, t, lo, hi, row),
+                          std::memory_order_relaxed);
   });
   return evaluations.load();
 }
@@ -172,17 +208,19 @@ ScoreGenResult GenerateScoredAssignments(const SesInstance& instance,
                                          const SolveContext& context,
                                          const Schedule& schedule,
                                          const ScoreEmit& emit) {
-  const size_t num_events = instance.num_events();
+  const size_t num_classes = instance.num_event_classes();
   std::vector<double> scores(
-      static_cast<size_t>(instance.num_intervals()) * num_events);
+      static_cast<size_t>(instance.num_intervals()) * num_classes);
+  ScoreShards shards(options);
   ScoreGenResult result =
-      GenerateAssignmentScores(instance, options, context, scores);
-  // A stopped pass covers only a prefix of the grid; emit nothing.
+      GenerateClassScores(instance, options, shards, context, scores);
+  // A stopped pass covers only part of the grid; emit nothing.
   if (!result.termination.ok()) return result;
   for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
-    for (EventIndex e = 0; e < num_events; ++e) {
+    const double* row = scores.data() + static_cast<size_t>(t) * num_classes;
+    for (EventIndex e = 0; e < instance.num_events(); ++e) {
       if (schedule.IsAssigned(e)) continue;  // warm-started
-      emit(e, t, scores[static_cast<size_t>(t) * num_events + e]);
+      emit(e, t, row[instance.EventClass(e)]);
     }
   }
   return result;

@@ -5,23 +5,34 @@
 /// Assignment scoring shared by the four constructive solvers grd, lazy,
 /// top and bestfit (Algorithm 1 of the paper).
 ///
-/// Generation (lines 2-4) fills a dense grid scores[t * |E| + e] with
-/// the marginal gain of every (event, interval) pair under the
-/// warm-start-only schedule. This O(|E|·|T|) sweep is embarrassingly
-/// parallel — no pair's score depends on another — so it shards
+/// Scores live on a class grid: scores[t * C + c] for the C event
+/// classes of the instance (SesInstance::EventClass). Eq. 4 reads an
+/// event's interest row and the interval's state, nothing else of the
+/// event, so all members of a class score the same double at every
+/// interval in every schedule state; scoring one representative per
+/// class is exact, not an approximation. Only feasibility (location,
+/// resources) and assignment differ per member, and the solvers check
+/// those per event.
+///
+/// Generation (lines 2-4) fills the class grid under the
+/// warm-start-only schedule. This O(C·|T|) sweep is embarrassingly
+/// parallel — no cell depends on another — so it shards
 /// interval-contiguously across a util::ThreadPool with one private
 /// AttendanceModel per shard. It is the only initial-score sweep in the
 /// solvers. TOP and lazy build their own structures from the emitted
-/// scores; GRD and bestfit keep the grid itself as their candidate set.
+/// per-event scores; GRD and bestfit keep the class grid itself as their
+/// candidate set.
 ///
 /// The row refresh (lines 5-13) keeps that grid current for GRD and
-/// bestfit. Feasibility and Eq. 4 for (e, t) depend only on interval t
-/// and on whether e is assigned, so after Apply(e*, t*) only column e*
-/// and row t* are stale. RefreshIntervalScores re-scores row t* against
-/// the caller's model, whose interval t* is already loaded, with the
-/// candidates sharded over the same pool as generation (ScoreShards).
+/// bestfit. Eq. 4 at t depends only on interval t's state, so after
+/// Apply(e*, t*) only row t* is stale. RefreshIntervalScores re-scores
+/// row t* against the caller's model, whose interval t* is already
+/// loaded, with the classes sharded over the same pool as generation
+/// (ScoreShards). A class with no unassigned member feasible at t* gets
+/// kDeadScore instead; feasibility only shrinks as a schedule grows, so
+/// such a cell never comes back to life.
 ///
-/// Determinism contract: the score of (e, t) is a pure function of the
+/// Determinism contract: the score of (c, t) is a pure function of the
 /// instance and the schedule (each shard model replays the warm start
 /// in request order and accumulates the same doubles in the same order
 /// at every shard count; a refresh reads one shared, unmodified model),
@@ -87,14 +98,14 @@ class ScoreShards {
 struct ScoreGenResult {
   /// Eq. 4 evaluations performed on shard-private engines — i.e. the
   /// evaluations *not* counted by the caller's own model. On a completed
-  /// pass, the number of unassigned (event, interval) pairs at every
-  /// shard count. Solvers report model.gain_evaluations() + this.
+  /// pass, |T| times the number of classes with an unassigned member, at
+  /// every shard count. Solvers report model.gain_evaluations() + this.
   uint64_t gain_evaluations = 0;
 
   /// OK on a completed pass; the stop status (kDeadlineExceeded /
   /// kCancelled) when \p context interrupted generation. On interruption
-  /// the grid covers only a prefix and nothing is emitted (the solvers
-  /// fall back to returning the warm start).
+  /// the grid covers only part of the intervals and nothing is emitted
+  /// (the solvers fall back to returning the warm start).
   util::Status termination;
 };
 
@@ -102,46 +113,56 @@ struct ScoreGenResult {
 using ScoreEmit =
     std::function<void(EventIndex, IntervalIndex, double)>;
 
-/// Fills scores[t * instance.num_events() + e] with the marginal gain of
-/// assigning event \p e to interval \p t under the warm-start-only
-/// schedule, for every unassigned event and every interval. Entries of
-/// warm-started events are left untouched. \p scores must be pre-sized
-/// to num_intervals() * num_events().
+/// The lowest member of class \p c that \p schedule can still assign
+/// at \p t (unassigned and feasible there), or kInvalidIndex when none.
+EventIndex LowestLiveMember(const Schedule& schedule, ClassIndex c,
+                            IntervalIndex t);
+
+/// Fills the class grid scores[t * instance.num_event_classes() + c]
+/// with the marginal gain of class \p c's row at interval \p t under
+/// the warm-start-only schedule, for every interval and every class
+/// with a member the warm start leaves unassigned. Cells of the other
+/// classes are left untouched. \p scores must be pre-sized to
+/// num_intervals() * num_event_classes().
 ///
 /// The shards run on \p shards. The warm start must already be
 /// validated (the caller applied it to its own model) — shard models
 /// replay it and treat failure as a programming error.
+ScoreGenResult GenerateClassScores(const SesInstance& instance,
+                                   const SolverOptions& options,
+                                   ScoreShards& shards,
+                                   const SolveContext& context,
+                                   std::vector<double>& scores);
+
+/// The per-event view of GenerateClassScores, on a ScoreShards(options)
+/// of its own: fills scores[t * instance.num_events() + e] with the
+/// score of e's class at t for every event \p e the warm start leaves
+/// unassigned; entries of warm-started events are left untouched.
+/// \p scores must be pre-sized to num_intervals() * num_events(). On a
+/// stopped pass \p scores is left untouched.
 ScoreGenResult GenerateAssignmentScores(const SesInstance& instance,
                                         const SolverOptions& options,
-                                        ScoreShards& shards,
                                         const SolveContext& context,
                                         std::vector<double>& scores);
 
-/// As above, on a ScoreShards(options) of its own.
-ScoreGenResult GenerateAssignmentScores(const SesInstance& instance,
-                                        const SolverOptions& options,
-                                        const SolveContext& context,
-                                        std::vector<double>& scores);
-
-/// Re-scores interval \p t's grid row for \p candidates after the
-/// caller's model changed interval t. Loads t on \p model (a no-op right
-/// after model.Apply(e, t)), then shards \p candidates over \p shards:
-/// each candidate that model.CanAssign at t gets its AttendanceModel::
-/// LoadedGain, every other one (assigned, or infeasible at t) gets
-/// kDeadScore. Cells of events not in \p candidates are left untouched.
+/// Re-scores interval \p t's class-grid row after the caller's model
+/// changed interval t. Loads t on \p model (a no-op right after
+/// model.Apply(e, t)), then shards the classes over \p shards: each
+/// class with a member that model.CanAssign at t gets its
+/// AttendanceModel::LoadedClassGain, every other one kDeadScore.
 /// Returns the number of gains evaluated; \p model's own
 /// gain_evaluations() does not count them.
 uint64_t RefreshIntervalScores(AttendanceModel& model, IntervalIndex t,
-                               std::span<const EventIndex> candidates,
                                ScoreShards& shards,
                                std::vector<double>& scores);
 
 /// The full generation + assembly stage shared by the constructive
-/// solvers: runs GenerateAssignmentScores, then invokes \p emit for every
-/// (e, t) with e unassigned in \p schedule (the warm-start-only schedule)
-/// in serial t-major, e-minor order — the order the solvers build their
-/// candidate structures in, so the emitted sequence is bit-identical at
-/// every SolverOptions::threads value. When \p context stops the pass,
+/// solvers: runs GenerateClassScores, then invokes \p emit for every
+/// (e, t) with e unassigned in \p schedule (the warm-start-only
+/// schedule), with the score of e's class at t, in serial t-major,
+/// e-minor order — the order the solvers build their candidate
+/// structures in, so the emitted sequence is bit-identical at every
+/// SolverOptions::threads value. When \p context stops the pass,
 /// nothing is emitted and result.termination is the stop status.
 ScoreGenResult GenerateScoredAssignments(const SesInstance& instance,
                                          const SolverOptions& options,

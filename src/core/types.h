@@ -23,6 +23,10 @@ using IntervalIndex = uint32_t;
 /// Index of a competing event in C.
 using CompetingIndex = uint32_t;
 
+/// Index of an event class: the candidate events that share one interest
+/// row (SesInstance::EventClass).
+using ClassIndex = uint32_t;
+
 /// Identifier of an event location (stage/venue); two events with equal
 /// location cannot share a time interval.
 using LocationId = uint32_t;

@@ -84,17 +84,19 @@ util::Result<core::SesInstance> WorkloadFactory::Build(
       static_cast<uint32_t>(num_events));
   // mu depends only on the event's tag set, and a catalog of events from
   // far fewer groups repeats tag sets many times over: each distinct set's
-  // row is computed once per Build and copied into every event that draws
-  // it. The memo is local, so Build stays const and thread-safe.
-  std::map<std::vector<ebsn::TagId>, InterestRow> rows_by_tags;
-  auto row_for = [&](uint32_t id) -> const InterestRow& {
+  // row is computed once per Build and handed to the builder's row pool
+  // once; every event that draws the set refers to it by id. The memo is
+  // local, so Build stays const and thread-safe.
+  std::map<std::vector<ebsn::TagId>, core::RowId> rows_by_tags;
+  auto row_for = [&](uint32_t id) {
     const auto& tags = dataset_->events()[id].tags;
-    auto [it, inserted] = rows_by_tags.try_emplace(tags);
-    if (inserted) {
-      it->second = ToInterestRow(
+    auto it = rows_by_tags.find(tags);
+    if (it == rows_by_tags.end()) {
+      const core::RowId row = builder.AddRow(ToInterestRow(
           interest_.EventInterests(tags,
                                    static_cast<float>(config.min_interest)),
-          config.min_interest, config.max_users_per_event);
+          config.min_interest, config.max_users_per_event));
+      it = rows_by_tags.emplace(tags, row).first;
     }
     return it->second;
   };

@@ -78,10 +78,10 @@ TEST_P(BestFitTest, DoesFewerEvaluationsThanGreedy) {
   auto g = grd.Solve(instance, options);
   ASSERT_TRUE(bf.ok());
   ASSERT_TRUE(g.ok());
-  // BESTFIT costs |E||T| + one row refresh per placement but the last,
-  // over the events not yet visited; GRD refreshes the same rows over
-  // every unassigned event. The chosen intervals differ, so on tiny
-  // instances the two can be within one interval's worth of each other.
+  // Both cost C·|T| + one row refresh per placement but the last, over
+  // the classes with a member still feasible there. The chosen intervals
+  // differ, so on tiny instances the two can be within one interval's
+  // worth of each other.
   EXPECT_LE(bf->stats.gain_evaluations,
             g->stats.gain_evaluations + instance.num_intervals());
 }
@@ -136,17 +136,7 @@ ReferenceOutcome ReferenceBestFit(const SesInstance& instance,
   return out;
 }
 
-TEST_P(BestFitTest, MatchesProbeEveryIntervalReference) {
-  // Tighter than MakeInstance: few locations and little room per
-  // interval, so placements make pairs infeasible and rows go stale.
-  test::RandomInstanceConfig config;
-  config.seed = GetParam();
-  config.num_users = 60;
-  config.num_events = 24;
-  config.num_intervals = 6;
-  config.num_locations = 3;
-  config.theta = 8.0;
-  const SesInstance instance = test::MakeRandomInstance(config);
+void ExpectMatchesReference(const SesInstance& instance) {
 
   std::vector<Assignment> warm;
   Schedule probe(instance);
@@ -176,6 +166,33 @@ TEST_P(BestFitTest, MatchesProbeEveryIntervalReference) {
       EXPECT_EQ(result->stats.pops, ref.pops) << label;
     }
   }
+}
+
+/// Tighter than MakeInstance: few locations and little room per
+/// interval, so placements make pairs infeasible and rows go stale.
+test::RandomInstanceConfig TightConfig(uint64_t seed) {
+  test::RandomInstanceConfig config;
+  config.seed = seed;
+  config.num_users = 60;
+  config.num_events = 24;
+  config.num_intervals = 6;
+  config.num_locations = 3;
+  config.theta = 8.0;
+  return config;
+}
+
+TEST_P(BestFitTest, MatchesProbeEveryIntervalReference) {
+  ExpectMatchesReference(test::MakeRandomInstance(TightConfig(GetParam())));
+}
+
+// Events drawn from 6 rows share their class's grid column, but each
+// reads it gated by its own location and resources.
+TEST_P(BestFitTest, SharedRowsMatchProbeEveryIntervalReference) {
+  test::RandomInstanceConfig config = TightConfig(GetParam());
+  config.distinct_rows = 6;
+  const SesInstance instance = test::MakeRandomInstance(config);
+  ASSERT_LE(instance.num_event_classes(), 6u);
+  ExpectMatchesReference(instance);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BestFitTest,

@@ -12,7 +12,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -111,10 +110,9 @@ TEST(HotPathAllocTest, RowRefreshIsAllocationFree) {
     const IntervalIndex t = e % instance.num_intervals();
     if (model.CanAssign(e, t)) model.Apply(e, t);
   }
-  std::vector<double> scores(static_cast<size_t>(instance.num_events()) *
-                             instance.num_intervals());
-  std::vector<EventIndex> events(instance.num_events());
-  std::iota(events.begin(), events.end(), 0u);
+  std::vector<double> scores(
+      static_cast<size_t>(instance.num_event_classes()) *
+      instance.num_intervals());
   // threads = 1: GRD's and bestfit's refresh run inline, the case a
   // serial solve takes after every placement.
   ScoreShards shards(SolverOptions{});
@@ -122,13 +120,13 @@ TEST(HotPathAllocTest, RowRefreshIsAllocationFree) {
   // loads each interval it re-scores) outside the window.
   for (int pass = 0; pass < 2; ++pass) {
     for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
-      RefreshIntervalScores(model, t, events, shards, scores);
+      RefreshIntervalScores(model, t, shards, scores);
     }
   }
   uint64_t evaluations = 0;
   util::ScopedAllocCheck check;
   for (IntervalIndex t = 0; t < instance.num_intervals(); ++t) {
-    evaluations += RefreshIntervalScores(model, t, events, shards, scores);
+    evaluations += RefreshIntervalScores(model, t, shards, scores);
   }
   EXPECT_EQ(check.allocations(), 0u);
   EXPECT_GT(evaluations, 0u);

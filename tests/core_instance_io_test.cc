@@ -1,6 +1,11 @@
 #include "core/instance_io.h"
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -248,6 +253,66 @@ TEST_F(InstanceIoTest, ConstSigmaValueBoundsAreAccepted) {
   // The range only binds a const sigma; a hash sigma ignores the value.
   auto hash = LoadWithSigmaValue(dir_, SigmaSpec::Kind::kHash, "2.0");
   EXPECT_TRUE(hash.ok()) << hash.status().ToString();
+}
+
+// Ids are parsed as int64 and stored as uint32: a value outside
+// [0, 2^32) must be a typed error, not wrap into a valid id (a user of
+// 2^32 + 3 used to load as user 3).
+TEST_F(InstanceIoTest, OutOfRangeIdsAreRejected) {
+  struct Field {
+    const char* file;
+    const char* key;
+    size_t column;
+  };
+  for (const Field& field : {Field{"event_interests.csv", "0", 1},
+                             Field{"events.csv", "0", 1},
+                             Field{"competing.csv", "0", 1}}) {
+    for (const char* value : {"4294967296", "4294967299", "-1"}) {
+      ExpectCorruptCellRejected(dir_, field.file, field.key, field.column,
+                                value, util::StatusCode::kOutOfRange);
+    }
+  }
+}
+
+TEST_F(InstanceIoTest, DuplicateRowsLoadAsClassesAndSaveUnchanged) {
+  test::RandomInstanceConfig config;
+  config.seed = 5;
+  config.num_events = 12;
+  config.distinct_rows = 4;
+  const SesInstance original = test::MakeRandomInstance(config);
+  // The classes expected from the rows themselves.
+  std::set<std::pair<std::vector<UserIndex>, std::vector<float>>> rows;
+  for (EventIndex e = 0; e < original.num_events(); ++e) {
+    rows.insert({{original.EventUsers(e).begin(),
+                  original.EventUsers(e).end()},
+                 {original.EventValues(e).begin(),
+                  original.EventValues(e).end()}});
+  }
+  ASSERT_LT(rows.size(), original.num_events());
+
+  SigmaSpec spec;
+  spec.kind = SigmaSpec::Kind::kHash;
+  spec.seed = config.seed;
+  ASSERT_TRUE(SaveInstance(original, spec, dir_.string()).ok());
+  auto loaded = LoadInstance(dir_.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->num_event_classes(), rows.size());
+  EXPECT_EQ(loaded->num_interest_entries(), original.num_interest_entries());
+  EXPECT_EQ(loaded->num_stored_interest_entries(),
+            original.num_stored_interest_entries());
+
+  const std::filesystem::path again = dir_ / "again";
+  std::filesystem::create_directories(again);
+  ASSERT_TRUE(SaveInstance(*loaded, spec, again.string()).ok());
+  for (const char* file : {"meta.csv", "events.csv", "event_interests.csv",
+                           "competing.csv", "competing_interests.csv"}) {
+    std::ifstream a(dir_ / file, std::ios::binary);
+    std::ifstream b(again / file, std::ios::binary);
+    const std::string bytes_a{std::istreambuf_iterator<char>(a), {}};
+    const std::string bytes_b{std::istreambuf_iterator<char>(b), {}};
+    EXPECT_FALSE(bytes_a.empty()) << file;
+    EXPECT_EQ(bytes_a, bytes_b) << file;
+  }
 }
 
 TEST(SigmaSpecTest, InstantiateMatchesKind) {

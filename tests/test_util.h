@@ -27,6 +27,10 @@ struct RandomInstanceConfig {
   double interest_density = 0.4;  ///< P(user interested in an event)
   double competing_per_interval = 2.0;
   uint64_t seed = 42;
+  /// When > 0, every interest row (candidate or competing) is one of
+  /// this many random rows, drawn up front, so events share rows and
+  /// form event classes. 0 draws each row afresh.
+  uint32_t distinct_rows = 0;
 };
 
 /// The three SigmaProvider implementations, for suites that sweep them.
@@ -83,16 +87,25 @@ inline core::SesInstance MakeRandomInstance(
     return row;
   };
 
+  std::vector<std::vector<std::pair<core::UserIndex, float>>> pool;
+  for (uint32_t r = 0; r < config.distinct_rows; ++r) {
+    pool.push_back(random_row());
+  }
+  auto next_row = [&] {
+    return pool.empty() ? random_row()
+                        : pool[rng.NextBounded(config.distinct_rows)];
+  };
+
   for (uint32_t e = 0; e < config.num_events; ++e) {
     const core::LocationId location = static_cast<core::LocationId>(
         rng.NextBounded(config.num_locations));
     const double xi = rng.UniformDouble(config.xi_min, config.xi_max);
-    builder.AddEvent(location, xi, random_row());
+    builder.AddEvent(location, xi, next_row());
   }
   for (uint32_t t = 0; t < config.num_intervals; ++t) {
     const int count = util::PoissonSample(rng, config.competing_per_interval);
     for (int c = 0; c < count; ++c) {
-      builder.AddCompetingEvent(t, random_row());
+      builder.AddCompetingEvent(t, next_row());
     }
   }
   auto instance = builder.Build();

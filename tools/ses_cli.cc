@@ -379,11 +379,14 @@ int CmdInfo(int argc, const char* const* argv) {
     std::printf(
         "|U|=%u |E|=%u |T|=%u |C|=%u theta=%.2f\n"
         "candidate interest entries: %zu\n"
-        "competing interest entries: %zu\n",
+        "competing interest entries: %zu\n"
+        "event classes (distinct candidate rows): %u\n"
+        "stored interest entries (distinct rows): %zu\n",
         instance->num_users(), instance->num_events(),
         instance->num_intervals(), instance->num_competing(),
         instance->theta(), instance->num_interest_entries(),
-        competing_entries);
+        competing_entries, instance->num_event_classes(),
+        instance->num_stored_interest_entries());
     return 0;
   }
   return Fail(
