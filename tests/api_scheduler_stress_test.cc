@@ -609,7 +609,8 @@ TEST_P(SchedulerStressTest, ConcurrentSessionCacheChurnIsSafe) {
       EXPECT_TRUE(response.status.ok() ||
                   response.status.code() == util::StatusCode::kNotFound)
           << response.status.ToString();
-      (void)scheduler.LoadedInstances();
+      // Each loader drops its instance before loading the next one.
+      EXPECT_LE(scheduler.LoadedInstances().size(), kLoaders);
     }
   });
   for (std::thread& loader : loaders) loader.join();

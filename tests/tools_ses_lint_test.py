@@ -4,9 +4,9 @@
 Each rule gets a good and a bad snippet (run against a synthetic repo
 tree in a temp directory, so the fixtures cannot drift into the real
 src/), plus suppression-comment behavior, the full layering matrix, and
-two lockstep checks: every rule id must appear in
-docs/ARCHITECTURE.md's static-analysis section, and the real repository
-must lint clean.
+docs lockstep checks: every rule id, the capability table and the
+SES_HOT inventory must match docs/ARCHITECTURE.md. The real repository
+is linted by the `ses_lint_repo` ctest and the CI lint job.
 """
 
 import os
@@ -278,6 +278,11 @@ class CommentAndStringStrippingTest(LintFixture):
                    "/* prose */ std::random_device rd;\n")
         self.assert_flags("determinism-random")
 
+    def test_digit_separator_is_not_a_char_literal(self):
+        self.write("src/core/a.cc",
+                   "long n = 4'000'000;\nstd::random_device rd;\n")
+        self.assert_flags("determinism-random")
+
 
 class LockOrderTest(LintFixture):
     """Flow rule: the acquired-while-holding graph must be acyclic."""
@@ -414,130 +419,40 @@ class CondVarHoldTest(LintFixture):
 
 
 class DiscardedStatusTest(LintFixture):
-    DECL = "util::Status Save();\n"
+    """Silent Status drops are compile errors (tests/compile_fail/); the
+    rule keeps the explicit `(void)` drops justified."""
 
-    def test_expression_statement_discard_flagged(self):
-        self.write("src/core/a.cc", self.DECL
-                   + "void F() {\n  Save();\n}\n")
+    def test_void_cast_of_any_call_without_allow_flagged(self):
+        self.write("src/core/a.cc",
+                   "int Count();\nvoid F() {\n  (void)Count();\n}\n")
         self.assert_flags("discarded-status")
-
-    def test_comma_operand_discard_flagged(self):
-        self.write("src/core/a.cc", self.DECL
-                   + "void F() {\n  Save(), Save();\n}\n")
-        self.assert_flags("discarded-status")
-
-    def test_if_init_discard_flagged(self):
-        self.write("src/core/a.cc", self.DECL
-                   + "void F() {\n  if (Save(); true) {\n  }\n}\n")
-        self.assert_flags("discarded-status")
-
-    def test_consumed_and_returned_are_clean(self):
-        self.write("src/core/a.cc", self.DECL
-                   + "util::Status F() {\n"
-                   "  util::Status s = Save();\n"
-                   "  if (!s.ok()) return s;\n"
-                   "  if (!Save().ok()) {\n"
-                   "    return Save();\n"
-                   "  }\n"
-                   "  SES_RETURN_IF_ERROR(Save());\n"
-                   "  return Save();\n"
-                   "}\n")
-        self.assert_clean()
 
     def test_void_cast_with_allow_is_clean(self):
-        self.write("src/core/a.cc", self.DECL
-                   + "void F() {\n"
+        self.write("src/core/a.cc",
+                   "util::Status Save();\n"
+                   "void F() {\n"
                    "  (void)Save();"
                    "  // ses-lint: allow(discarded-status) fixture\n"
                    "}\n")
         self.assert_clean()
 
-    def test_void_cast_without_allow_flagged(self):
-        self.write("src/core/a.cc", self.DECL
-                   + "void F() {\n  (void)Save();\n}\n")
-        self.assert_flags("discarded-status")
-
-    def test_allow_without_void_cast_flagged(self):
-        self.write("src/core/a.cc", self.DECL
-                   + "void F() {\n"
+    def test_allow_without_void_cast_is_stale(self):
+        self.write("src/core/a.cc",
+                   "util::Status Save();\n"
+                   "void F() {\n"
                    "  Save();  // ses-lint: allow(discarded-status)\n"
                    "}\n")
-        self.assert_flags("discarded-status")
+        self.assert_flags("stale-suppression")
 
-    def test_result_returning_function_covered(self):
-        self.write("src/core/a.cc",
-                   "util::Result<int> Load();\n"
-                   "void F() {\n  Load();\n}\n")
-        self.assert_flags("discarded-status")
+    def test_void_cast_of_a_name_is_clean(self):
+        self.write("tests/a_test.cc",
+                   "void F(int unused) {\n  (void)unused;\n}\n")
+        self.assert_clean(paths=("tests",))
 
-
-class JsonFormatTest(LintFixture):
-    def test_one_json_object_per_finding(self):
-        import json
-        self.write("src/core/a.cc",
-                   "util::Status Save();\n"
-                   "void F() {\n  Save();\n}\n")
-        proc = run_lint_argv(self.root, "--format=json", "src")
-        self.assertEqual(proc.returncode, 1)
-        lines = proc.stdout.strip().splitlines()
-        self.assertEqual(len(lines), 1)
-        f = json.loads(lines[0])
-        self.assertEqual(f["rule"], "discarded-status")
-        self.assertEqual(f["file"], "src/core/a.cc")
-        self.assertEqual(f["line"], 3)
-        self.assertIn("Save", f["message"])
-        self.assertEqual(f["witness"], [])
-
-    def test_cycle_witness_is_a_list(self):
-        import json
-        self.write("src/api/ab.cc", LockOrderTest.TWO_LOCK_CYCLE)
-        proc = run_lint_argv(self.root, "--format=json", "src")
-        self.assertEqual(proc.returncode, 1)
-        f = json.loads(proc.stdout.strip().splitlines()[0])
-        self.assertEqual(f["rule"], "lock-order")
-        self.assertEqual(len(f["witness"]), 2)
-        for edge in f["witness"]:
-            self.assertIn(" at src/api/ab.cc:", edge)
-
-
-class ChangedOnlyTest(LintFixture):
-    """--changed-only filters the report to files changed since a ref
-    (falling back to a full report when git is unusable)."""
-
-    def _git(self, *argv):
-        return subprocess.run(
-            ["git", "-C", self.root, *argv], capture_output=True,
-            text=True, check=False)
-
-    def setUp(self):
-        super().setUp()
-        if self._git("init", "-q").returncode != 0:
-            self.skipTest("git unavailable")
-        self._git("config", "user.email", "lint@test")
-        self._git("config", "user.name", "lint test")
-
-    def test_report_restricted_to_changed_files(self):
-        self.write("src/core/old.cc",
-                   "util::Status Save();\n"
-                   "void F() {\n  Save();\n}\n")
-        self._git("add", "-A")
-        self._git("commit", "-qm", "base")
-        self.write("src/core/fresh.cc",
-                   "util::Status Save();\n"
-                   "void G() {\n  Save();\n}\n")
-        proc = run_lint_argv(self.root, "--changed-only", "HEAD", "src")
-        self.assertEqual(proc.returncode, 1)
-        self.assertIn("src/core/fresh.cc", proc.stderr)
-        self.assertNotIn("src/core/old.cc", proc.stderr)
-
-    def test_bad_ref_falls_back_to_full_report(self):
-        self.write("src/core/old.cc",
-                   "util::Status Save();\n"
-                   "void F() {\n  Save();\n}\n")
-        proc = run_lint_argv(
-            self.root, "--changed-only", "no-such-ref", "src")
-        self.assertEqual(proc.returncode, 1)
-        self.assertIn("src/core/old.cc", proc.stderr)
+    def test_member_call_in_tests_flagged(self):
+        self.write("tests/a_test.cc",
+                   "void F(Store& s) {\n  (void)s.Save();\n}\n")
+        self.assert_flags("discarded-status", paths=("tests",))
 
 
 class CapabilitiesTest(LintFixture):
@@ -842,8 +757,8 @@ class GithubFormatTest(LintFixture):
 
 
 class DocLockstepTest(unittest.TestCase):
-    """Every rule id must be documented, and the real repo must be clean
-    — the two properties that keep the linter from rotting."""
+    """Every rule id and every generated table must be documented — the
+    property that keeps the linter and its docs from drifting apart."""
 
     def test_every_rule_documented_in_architecture_md(self):
         proc = subprocess.run(
@@ -858,11 +773,6 @@ class DocLockstepTest(unittest.TestCase):
         for rule in rules:
             self.assertIn(f"`{rule}`", doc,
                           f"rule '{rule}' missing from docs/ARCHITECTURE.md")
-
-    def test_repository_lints_clean(self):
-        code, err = run_lint(
-            REPO_ROOT, ("src", "tools", "tests", "bench", "examples"))
-        self.assertEqual(code, 0, f"repository has lint problems:\n{err}")
 
     def test_capabilities_table_matches_architecture_md(self):
         """docs/ARCHITECTURE.md embeds `ses_lint --capabilities` output

@@ -38,20 +38,11 @@
 ///       plus refused/expired counts. --timing=false drops wall-clock
 ///       fields so a fixed-seed trace renders byte-identically (see
 ///       docs/BENCHMARKS.md).
-///
-///   lint [ses_lint flags and paths...]
-///       Runs tools/ses_lint.py against this checkout (the repo root is
-///       baked in at build time) with any extra arguments passed
-///       through — `ses_cli lint --list-rules`, `ses_cli lint src`, etc.
 
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include "api/scheduler.h"
 #include "core/instance_io.h"
@@ -450,27 +441,6 @@ int CmdBench(int argc, const char* const* argv) {
   return 0;
 }
 
-int CmdLint(int argc, const char* const* argv) {
-  // Passthrough to the project linter with repo-root defaults, so the
-  // static gates are reachable from the same binary operators already
-  // have on hand. SES_SOURCE_DIR is this checkout's root, baked in by
-  // CMake; execvp replaces the process, so the exit code is ses_lint's
-  // own.
-  std::vector<std::string> args = {"python3",
-                                   std::string(SES_SOURCE_DIR) +
-                                       "/tools/ses_lint.py",
-                                   "--root", SES_SOURCE_DIR};
-  for (int i = 1; i < argc; ++i) args.push_back(argv[i]);
-  std::vector<char*> exec_argv;
-  exec_argv.reserve(args.size() + 1);
-  for (std::string& arg : args) exec_argv.push_back(arg.data());
-  exec_argv.push_back(nullptr);
-  execvp(exec_argv[0], exec_argv.data());
-  std::fprintf(stderr, "error: could not exec python3: %s\n",
-               std::strerror(errno));
-  return 127;
-}
-
 void PrintUsage() {
   std::fputs(
       "usage: ses_cli <command> [flags]\n"
@@ -480,8 +450,7 @@ void PrintUsage() {
       "  solve           run a solver on a stored instance\n"
       "  metrics         dump the scheduler metric catalog / live values\n"
       "  info            describe a dataset or instance\n"
-      "  bench           replay a load trace and emit a JSON report\n"
-      "  lint            run the project linter over this checkout\n",
+      "  bench           replay a load trace and emit a JSON report\n",
       stderr);
 }
 
@@ -502,7 +471,6 @@ int main(int argc, char** argv) {
   if (command == "metrics") return CmdMetrics(sub_argc, sub_argv);
   if (command == "info") return CmdInfo(sub_argc, sub_argv);
   if (command == "bench") return CmdBench(sub_argc, sub_argv);
-  if (command == "lint") return CmdLint(sub_argc, sub_argv);
   PrintUsage();
   return 2;
 }

@@ -2,8 +2,7 @@
 """ses_lint — project-invariant linter and flow-aware analyzer.
 
 Usage: ses_lint.py [--root DIR] [--list-rules] [--capabilities]
-                   [--hot-functions] [--fix-stale]
-                   [--format {text,json,github}] [--changed-only GIT_REF]
+                   [--hot-functions] [--fix-stale] [--format {text,github}]
                    [--compile-commands FILE] [PATH ...]
 
 Enforces, with nothing beyond the Python standard library, the
@@ -46,6 +45,14 @@ Token rules:
                         justification for intentional leaks).
   using-namespace-header no `using namespace` in any header — it leaks
                         into every includer.
+  discarded-status      a `(void)` cast applied directly to a call needs
+                        a same-line `// ses-lint: allow(discarded-status)`
+                        carrying the reason. A silent drop of a
+                        util::Status/Result<T> is already a compile
+                        error ([[nodiscard]] under -Werror, proved by
+                        tests/compile_fail/discarded_status.cc); the
+                        cast silences the compiler, so the reason must
+                        be written down.
 
 Flow rules (a per-TU scan of the SES_* annotation surface plus scoped
 MutexLock/ReaderMutexLock/WriterMutexLock constructions and manual
@@ -59,15 +66,6 @@ Lock/Unlock calls, linked into a global call graph):
                         second capability is held — the wait releases
                         only its own mutex, so the second lock blocks
                         every would-be notifier.
-  discarded-status      a call to a util::Status/Result<T>-returning
-                        function must be consumed, returned, or
-                        explicitly discarded as `(void)expr;` with a
-                        same-line `// ses-lint: allow(discarded-status)`
-                        carrying the justification. The compiler
-                        enforces the same contract via [[nodiscard]]
-                        (-Wunused-result under -Werror); this rule
-                        keeps the discipline visible to review and to
-                        trees the compiler has not seen yet.
   hot-path              every SES_HOT-annotated function
                         (util/hot_annotations.h) is the root of a
                         transitive call-graph walk that must reach no
@@ -93,16 +91,10 @@ line (comma-separate several rule ids). Comments, string literals, and
 character literals are stripped before matching, so prose never trips
 a rule. For lock-order the suppression goes on the witness line of the
 edge; for hot-path it goes on the violation line or on the witness
-call edge (cutting the whole subtree behind that call); for
-discarded-status it must accompany a `(void)` cast.
+call edge (cutting the whole subtree behind that call).
 
---format=json prints one JSON object per finding (rule, file, line,
-message, witness) to stdout instead of the text report.
 --format=github prints GitHub Actions `::error file=...,line=...::`
 workflow commands so findings annotate PR diffs inline.
---changed-only GIT_REF still runs the full (whole-graph) analysis but
-reports only findings whose file — or any witness file, for cycles —
-differs from GIT_REF, for fast CI/pre-commit runs.
 --compile-commands FILE restricts the scanned *.cc set to translation
 units listed in the exported compile_commands.json (headers are always
 scanned), so the flow pass analyzes exactly what the build builds.
@@ -116,7 +108,6 @@ import bisect
 import json
 import os
 import re
-import subprocess
 import sys
 
 # Layer -> layers it may include (by the first path component of a
@@ -173,6 +164,7 @@ ACCUMULATE_RE = re.compile(
     r"\+=|-=|\*=|/=|\|=|&=|\^=|\+\+|--"
     r"|push_back|emplace_back|emplace\(|insert\(|append\(")
 ALLOW_RE = re.compile(r"//\s*ses-lint:\s*allow\(([^)]*)\)")
+VOID_CALL_RE = re.compile(r"\(\s*void\s*\)\s*[A-Za-z_:][\w:.<>-]*\s*\(")
 
 RULE_DOCS = {
     "layering": "src/ include-layering matrix (util < core < ebsn/api < exp)",
@@ -194,8 +186,8 @@ RULE_DOCS = {
     "condvar-hold":
         "no CondVar::Wait/WaitFor while a second capability is held",
     "discarded-status":
-        "Status/Result<T> returns are consumed, returned, or (void)-cast "
-        "with a same-line allow(discarded-status) justification",
+        "a (void)-cast call carries a same-line allow(discarded-status) "
+        "with the reason (silent Status drops are compile errors)",
     "hot-path":
         "SES_HOT call trees are allocation-, lock-, IO-, map-lookup-, and "
         "virtual-dispatch-free (witness chains; tools/hot_whitelist.txt "
@@ -204,6 +196,16 @@ RULE_DOCS = {
         "every ses-lint allow() suppresses a real finding on its line "
         "(--fix-stale deletes dead ones)",
 }
+
+
+def in_number(text, i):
+    """True when the quote at text[i] is a digit separator (4'000):
+    the token it continues starts with a digit. A char literal's
+    prefix (u8'a', L'a') starts with a letter."""
+    j = i
+    while j > 0 and (text[j - 1].isalnum() or text[j - 1] in "_.'"):
+        j -= 1
+    return j < i and text[j].isdigit()
 
 
 def strip_code(text):
@@ -232,7 +234,7 @@ def strip_code(text):
                 out.append(" ")
                 i += 1
                 continue
-            if c == "'":
+            if c == "'" and not in_number(text, i):
                 state = "char"
                 out.append(" ")
                 i += 1
@@ -306,9 +308,8 @@ def use_suppression(rel, lineno, raw_line, rule):
     return False
 
 
-def finding(file, line, rule, message, witness=None):
-    return {"rule": rule, "file": file, "line": line, "message": message,
-            "witness": witness or []}
+def finding(file, line, rule, message):
+    return {"rule": rule, "file": file, "line": line, "message": message}
 
 
 class Linter:
@@ -361,6 +362,10 @@ class Linter:
                                "using-namespace-header",
                                "`using namespace` in a header leaks "
                                "into every includer")
+        self.check_pattern(rel, code, raw, VOID_CALL_RE, "discarded-status",
+                           "(void) discards a call's result — add a "
+                           "same-line `// ses-lint: allow(discarded-status)` "
+                           "with the reason")
 
     def check_pattern(self, rel, code, raw, pattern, rule, message):
         for lineno, line in enumerate(code, start=1):
@@ -1148,7 +1153,7 @@ class CppModel:
                 first["file"], first["line"], "lock-order",
                 f"acquired-while-holding cycle: {path} — two threads "
                 "taking these locks in opposite order deadlock "
-                f"[witness: {'; '.join(witness)}]", witness))
+                f"[witness: {'; '.join(witness)}]"))
         return findings
 
     @staticmethod
@@ -1230,11 +1235,10 @@ class CppModel:
         if (rel, line) in reported_lines:
             return
         reported_lines.add((rel, line))
-        witness = [f"SES_HOT root {root}"] + chain
         via = (f" [witness: {' -> '.join([root] + chain)}]" if chain else "")
         findings.append(finding(
             rel, line, "hot-path",
-            f"reachable from SES_HOT {root}: {detail}{via}", witness))
+            f"reachable from SES_HOT {root}: {detail}{via}"))
 
     def _hot_walk_body(self, root, f, body, chain, class_reserved,
                        whitelist, seen, queue, reported_lines, findings):
@@ -1441,170 +1445,6 @@ def tarjan_sccs(graph):
 
 
 # ---------------------------------------------------------------------------
-# Status-propagation discipline
-# ---------------------------------------------------------------------------
-
-STATUS_FN_RE = re.compile(
-    r"\b(?:ses::)?(?:util::)?(?:Status|Result\s*<[^;{}=]*>)\s+"
-    r"(?:\w+(?:<[^<>]*>)?::)*([A-Za-z_]\w*)\s*\(")
-VOID_CAST_RE = re.compile(r"\(\s*void\s*\)\s*$")
-CONTROL_INIT_KEYWORDS = {"if", "switch", "for", "while"}
-
-
-def status_function_names(files):
-    """Every simple name declared anywhere in the tree with a
-    util::Status / util::Result<T> return type — the database the
-    discard scan checks call sites against."""
-    names = set()
-    for rel, code_lines in files.items():
-        del rel
-        text = "\n".join(blank_preprocessor(code_lines))
-        for m in STATUS_FN_RE.finditer(text):
-            names.add(m.group(1))
-    return names
-
-
-def check_discarded_status(rel, code_lines, raw_lines, names):
-    """Flags statement-position calls to Status-returning functions
-    whose value evaporates. Three accepted shapes: consume it, return
-    it, or `(void)call(); // ses-lint: allow(discarded-status)` — the
-    cast makes the discard explicit, the suppression carries the
-    reason. [[nodiscard]] makes the compiler the backstop for anything
-    this token-level scan cannot see (nested lambdas, macro bodies)."""
-    findings = []
-    text = "\n".join(blank_preprocessor(code_lines))
-    line_starts = [0]
-    for idx, ch in enumerate(text):
-        if ch == "\n":
-            line_starts.append(idx + 1)
-
-    # Paren depth prefix and, per open paren, the keyword before it —
-    # so `for (x; F(); ...)` conditions are not mistaken for discards
-    # while `Submit([&]{ F(); })` lambda bodies still are.
-    opener_stack = []
-    opener_at = [None] * len(text)
-    depth = [0] * (len(text) + 1)
-    d = 0
-    for i, ch in enumerate(text):
-        opener_at[i] = opener_stack[-1] if opener_stack else None
-        depth[i] = d
-        if ch == "(":
-            before = text[:i].rstrip()
-            kw = re.search(r"([A-Za-z_]\w*)$", before)
-            opener_stack.append(kw.group(1) if kw else "")
-            d += 1
-        elif ch == ")":
-            if opener_stack:
-                opener_stack.pop()
-            d = max(0, d - 1)
-
-    def prev_nonws(pos):
-        j = pos - 1
-        while j >= 0 and text[j].isspace():
-            j -= 1
-        return (text[j], j) if j >= 0 else ("", -1)
-
-    def close_of_call(open_pos):
-        dd = 0
-        for j in range(open_pos, len(text)):
-            if text[j] == "(":
-                dd += 1
-            elif text[j] == ")":
-                dd -= 1
-                if dd == 0:
-                    return j
-        return -1
-
-    def next_nonws(pos):
-        j = pos
-        while j < len(text) and text[j].isspace():
-            j += 1
-        return text[j] if j < len(text) else ""
-
-    def chain_ends_in_semicolon(close_pos):
-        """True when the expression containing the call terminates at a
-        statement `;` — a comma chain like `F(), G();` does; a
-        brace-initializer element `{F(), x}` hits its closing `}` first
-        and an argument `g(F(), x)` hits its closing `)` first."""
-        pd = bd = 0
-        for j in range(close_pos + 1, len(text)):
-            ch = text[j]
-            if ch == "(":
-                pd += 1
-            elif ch == ")":
-                if pd == 0:
-                    return False
-                pd -= 1
-            elif ch == "{":
-                bd += 1
-            elif ch == "}":
-                if bd == 0:
-                    return False
-                bd -= 1
-            elif ch == ";" and pd == 0 and bd == 0:
-                return True
-        return False
-
-    for m in CALL_RE.finditer(text):
-        name = m.group(3)
-        if name not in names:
-            continue
-        open_pos = text.index("(", m.end() - 1)
-        close_pos = close_of_call(open_pos)
-        if close_pos < 0:
-            continue
-        lineno = bisect.bisect_right(line_starts, m.start())
-        raw_line = raw_lines[lineno - 1] if lineno <= len(raw_lines) else ""
-        pc, _ = prev_nonws(m.start())
-        nc = next_nonws(close_pos + 1)
-        void_cast = VOID_CAST_RE.search(text[:m.start()]) is not None
-
-        if void_cast:
-            # use_suppression (not bare suppressed): the allow comment
-            # is load-bearing here, so the stale audit must see it.
-            if not use_suppression(rel, lineno, raw_line,
-                                   "discarded-status"):
-                findings.append(finding(
-                    rel, lineno, "discarded-status",
-                    f"(void)-discard of Status-returning '{name}' needs "
-                    "a same-line `// ses-lint: allow(discarded-status)` "
-                    "with the justification"))
-            continue
-
-        opener = opener_at[m.start()]
-        in_control_header = opener in CONTROL_INIT_KEYWORDS
-        discard = False
-        if pc == "(" and in_control_header and nc == ";":
-            discard = True  # if/switch/for init-statement
-        elif pc in (";", "{", "}", ",", "") and nc in (";", ","):
-            # Statement position (including lambda bodies nested in
-            # call arguments) — but never a for/while header clause,
-            # never a brace-initializer element or argument slot.
-            if not (depth[m.start()] > 0 and in_control_header):
-                discard = (nc == ";" or
-                           chain_ends_in_semicolon(close_pos))
-        if not discard:
-            continue
-        if use_suppression(rel, lineno, raw_line, "discarded-status"):
-            # The allow comment did engage with a real discard (so it
-            # is not stale) — but without the (void) cast it downgrades
-            # nothing; the discard must still be made explicit.
-            findings.append(finding(
-                rel, lineno, "discarded-status",
-                f"suppressed discard of Status-returning '{name}' must "
-                "be explicit: write `(void)...;` next to the allow "
-                "comment"))
-        else:
-            findings.append(finding(
-                rel, lineno, "discarded-status",
-                f"result of Status-returning '{name}' is discarded — "
-                "consume it, return it (SES_RETURN_IF_ERROR / "
-                "SES_ASSIGN_OR_RETURN), or make the drop explicit with "
-                "`(void)` plus a same-line allow(discarded-status)"))
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -1638,28 +1478,6 @@ def compile_commands_filter(files, cc_path):
         built.add(os.path.realpath(src))
     return [f for f in files
             if f.endswith(".h") or os.path.realpath(f) in built]
-
-
-def changed_files(root, ref):
-    """Repo-relative paths that differ from `ref`, plus untracked
-    files; None when git is unavailable (caller reports everything)."""
-    try:
-        diff = subprocess.run(
-            ["git", "-C", root, "diff", "--name-only", ref, "--"],
-            capture_output=True, text=True, check=True)
-        untracked = subprocess.run(
-            ["git", "-C", root, "ls-files", "--others",
-             "--exclude-standard"],
-            capture_output=True, text=True, check=True)
-    except (OSError, subprocess.CalledProcessError) as err:
-        print(f"ses_lint: --changed-only: git failed ({err}); "
-              "reporting all findings", file=sys.stderr)
-        return None
-    changed = set()
-    for out in (diff.stdout, untracked.stdout):
-        changed.update(line.strip() for line in out.splitlines()
-                       if line.strip())
-    return changed
 
 
 def load_hot_whitelist(root):
@@ -1762,12 +1580,6 @@ def render_text(problems, checked):
           f"{len(problems)} problem(s)")
 
 
-def render_json(problems):
-    for p in sorted(problems, key=lambda p: (p["file"], p["line"],
-                                             p["rule"], p["message"])):
-        print(json.dumps(p, sort_keys=True))
-
-
 def render_github(problems, checked):
     """GitHub Actions workflow commands: one ::error per finding, so
     the lint job annotates the offending lines inline on the PR diff
@@ -1799,13 +1611,9 @@ def main(argv):
     parser.add_argument("--fix-stale", action="store_true",
                         help="delete stale ses-lint allow() comments in "
                              "place instead of reporting them")
-    parser.add_argument("--format", choices=("text", "json", "github"),
+    parser.add_argument("--format", choices=("text", "github"),
                         default="text",
                         help="finding output format (default: text)")
-    parser.add_argument("--changed-only", metavar="GIT_REF", default=None,
-                        help="report only findings touching files that "
-                             "differ from GIT_REF (analysis still runs "
-                             "over the whole tree)")
     parser.add_argument("--compile-commands", metavar="FILE", default=None,
                         help="restrict scanned *.cc files to translation "
                              "units listed in this compile_commands.json")
@@ -1836,7 +1644,7 @@ def main(argv):
     USED_SUPPRESSIONS.clear()
     linter = Linter(root)
     model = CppModel()
-    contents = {}   # rel -> code_lines (for the status-name database)
+    contents = {}   # rel -> code_lines (for the stale audit)
     raws = {}
     for path in files:
         rel = os.path.relpath(path, root).replace(os.sep, "/")
@@ -1864,13 +1672,6 @@ def main(argv):
         print(model.hot_table())
         return 0
 
-    names = status_function_names(contents)
-    for rel in sorted(contents):
-        if rel in FLOW_EXEMPT:
-            continue
-        problems.extend(check_discarded_status(rel, contents[rel],
-                                               raws[rel], names))
-
     problems.extend(model.hot_findings(load_hot_whitelist(root)))
 
     # Last, after every rule has had its chance to register the
@@ -1881,19 +1682,7 @@ def main(argv):
     else:
         problems.extend(stale)
 
-    if args.changed_only is not None:
-        changed = changed_files(root, args.changed_only)
-        if changed is not None:
-            def touches(p):
-                if p["file"] in changed:
-                    return True
-                return any(f"at {c}:" in w for w in p["witness"]
-                           for c in changed)
-            problems = [p for p in problems if touches(p)]
-
-    if args.format == "json":
-        render_json(problems)
-    elif args.format == "github":
+    if args.format == "github":
         render_github(problems, len(files))
     else:
         render_text(problems, len(files))
