@@ -12,8 +12,9 @@
 ///                                in --csv output (default true; false
 ///                                makes reruns byte-identical)
 ///   --seed=N                     workload seed
-///   --jobs=N                     sweep-point parallelism (0 = all cores,
-///                                1 = serial reference path)
+///   --jobs=N                     total sweep lanes, capped at the core
+///                                count (0 = all cores, 1 = serial
+///                                reference path)
 ///
 /// "paper" matches Section IV-A exactly (42,444 users, 16k-event catalog,
 /// k up to 500). "medium" keeps the paper's *structure* (|T| = 3k/2,
@@ -25,8 +26,8 @@
 
 #include "ebsn/generator.h"
 #include "exp/figures.h"
-#include "exp/parallel_sweep.h"
 #include "exp/runner.h"
+#include "exp/sweep.h"
 #include "exp/workload.h"
 #include "util/flags.h"
 #include "util/logging.h"
@@ -85,7 +86,7 @@ struct FigureArgs {
   /// Append the non-deterministic seconds column to --csv output.
   bool csv_timing = true;
   int64_t seed = 7;
-  /// Sweep-point parallelism: 0 = hardware concurrency, 1 = serial.
+  /// Total sweep lanes (exp::RunSweep): 0 = every core, 1 = serial.
   int64_t jobs = 0;
   /// Intra-solver score-generation shards for grd/lazy/top/bestfit
   /// (1 = serial, 0 = all cores). Records and CSVs are bit-identical at
@@ -112,7 +113,8 @@ inline FigureArgs ParseFigureArgs(const char* program, int argc,
                 "include the wall-clock seconds column in --csv output");
   flags.AddInt("seed", &args.seed, "workload seed");
   flags.AddInt("jobs", &args.jobs,
-               "worker threads (0 = all cores, 1 = serial)");
+               "sweep lanes, capped at the core count (0 = all cores, "
+               "1 = serial)");
   flags.AddInt("solver-threads", &args.solver_threads,
                "grd/lazy/top/bestfit score-generation shards (1 = "
                "serial, 0 = all cores); records stay bit-identical");
@@ -128,9 +130,9 @@ inline FigureArgs ParseFigureArgs(const char* program, int argc,
   return args;
 }
 
-/// Runs \p points on \p jobs workers (0 = all cores, 1 = serial) and
-/// fails loudly on any error. Both paths yield identical records (modulo
-/// the wall-clock `seconds` field) in point order.
+/// Runs \p points on \p jobs lanes (0 = all cores, 1 = serial) and
+/// fails loudly on any error. Every jobs value yields identical records
+/// (modulo the wall-clock `seconds` field) in point order.
 inline std::vector<exp::RunRecord> RunSweepPoints(
     const exp::WorkloadFactory& factory,
     const std::vector<exp::SweepPoint>& points,
@@ -138,10 +140,9 @@ inline std::vector<exp::RunRecord> RunSweepPoints(
   if (jobs != 1) {
     // The utility/evaluation fields stay byte-identical, but concurrent
     // points (and, on this path, the solvers within each point, which
-    // fan out across the shared api::Scheduler pool) contend for cores,
-    // so any reported or CSV-dumped seconds are inflated relative to a
-    // serial run. --jobs=1 runs everything sequentially on the calling
-    // thread.
+    // fan out on the same pool) contend for cores, so any reported or
+    // CSV-dumped seconds are inflated relative to a serial run. --jobs=1
+    // runs everything sequentially on the calling thread.
     SES_LOG(kWarning) << "--jobs=" << jobs << ": per-record seconds are "
                       << "measured under multi-core contention; use "
                       << "--jobs=1 for clean timings";

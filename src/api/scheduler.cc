@@ -43,12 +43,9 @@ std::shared_ptr<const core::SesInstance> BorrowInstance(
 
 SchedulerOptions SchedulerOptions::ForSolverThreads(int64_t solver_threads) {
   SchedulerOptions options;
-  if (solver_threads > 0) {
-    const size_t hardware =
-        std::max<size_t>(1, std::thread::hardware_concurrency());
-    options.num_threads =
-        std::min(static_cast<size_t>(solver_threads), hardware);
-  }
+  options.num_threads =
+      util::CapLanes(static_cast<size_t>(std::max<int64_t>(0, solver_threads)),
+                     std::thread::hardware_concurrency());
   return options;
 }
 

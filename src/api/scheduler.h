@@ -4,9 +4,9 @@
 /// \file
 /// ses::api — the session-oriented solve surface of the library.
 ///
-/// Every consumer (CLI, examples, the experiment runner, downstream
-/// users) talks to solvers through a Scheduler and typed request /
-/// response messages instead of hand-assembling MakeSolver +
+/// Serving consumers (CLI, examples, the trace-replay load generator,
+/// downstream users) talk to solvers through a Scheduler and typed
+/// request / response messages instead of hand-assembling MakeSolver +
 /// SolverOptions + Validate + objective recomputation:
 ///
 ///   api::Scheduler scheduler;                 // owns a worker pool
@@ -26,7 +26,7 @@
 /// Submit() runs a request asynchronously on the scheduler's pool and
 /// returns a PendingSolve; SolveBatch() fans N requests across the pool
 /// and returns responses in request order regardless of completion
-/// order — the primitive behind exp::RunSolvers' per-point solver loop.
+/// order.
 ///
 /// The Scheduler is a *service shell*, not just an executor:
 ///
@@ -179,10 +179,8 @@ struct SchedulerOptions {
   double expired_sweep_period_seconds = 0.0;
 
   /// Pool sizing for a `--solver-threads`-style knob (the CLI and the
-  /// benches share this policy): 0 keeps the all-cores default, N > 0
-  /// is capped at the core count — workers beyond the cores only add
-  /// spawn cost, and an absurd flag value must not translate into that
-  /// many OS threads.
+  /// benches share this policy): util::CapLanes — 0 (or a negative
+  /// value) means every core, N > 0 is capped at the core count.
   static SchedulerOptions ForSolverThreads(int64_t solver_threads);
 };
 

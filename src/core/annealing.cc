@@ -3,8 +3,6 @@
 #include <cmath>
 
 #include "core/local_search.h"
-#include "core/random_schedule.h"
-#include "core/greedy.h"
 
 namespace ses::core {
 
@@ -18,28 +16,14 @@ util::Result<SolveOutcome> SimulatedAnnealingSolver::DoSolve(
   if (options.cooling <= 0.0 || options.cooling >= 1.0) {
     return util::Status::InvalidArgument("cooling must be in (0,1)");
   }
-  SolverResult base;
-  if (options.base_solver == BaseSolver::kGreedy) {
-    GreedySolver greedy;
-    auto seeded = greedy.Solve(instance, options, context);
-    if (!seeded.ok()) return seeded.status();
-    base = std::move(seeded).value();
-  } else {
-    RandomSolver random;
-    auto seeded = random.Solve(instance, options, context);
-    if (!seeded.ok()) return seeded.status();
-    base = std::move(seeded).value();
-  }
-
   AttendanceModel model(instance);
-  for (const Assignment& a : base.assignments) {
-    model.Apply(a.event, a.interval);
-  }
+  util::Status termination;
+  SES_RETURN_IF_ERROR(
+      SeedFromBaseSolver(instance, options, context, model, &termination));
 
   util::Rng rng(options.seed ^ 0x5adc0ffee1234567ULL);
   MoveEngine engine(instance, model, rng);
   SolverStats stats;
-  util::Status termination = base.termination;
 
   double temperature = options.initial_temperature;
   double best_utility = model.total_utility();

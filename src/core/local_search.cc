@@ -109,33 +109,38 @@ bool MoveEngine::TryRandomMove(
   return TrySwap(accept, accepted);
 }
 
-util::Result<SolveOutcome> LocalSearchSolver::DoSolve(
-    const SesInstance& instance, const SolverOptions& options,
-    const SolveContext& context) {
-  // Seed schedule. The context is threaded through, so an expiring
-  // deadline leaves a partial (still feasible) seed to improve on.
-  SolverResult base;
-  if (options.base_solver == BaseSolver::kGreedy) {
-    GreedySolver greedy;
-    auto seeded = greedy.Solve(instance, options, context);
-    if (!seeded.ok()) return seeded.status();
-    base = std::move(seeded).value();
-  } else {
-    RandomSolver random;
-    auto seeded = random.Solve(instance, options, context);
-    if (!seeded.ok()) return seeded.status();
-    base = std::move(seeded).value();
-  }
-
-  AttendanceModel model(instance);
+util::Status SeedFromBaseSolver(const SesInstance& instance,
+                                const SolverOptions& options,
+                                const SolveContext& context,
+                                AttendanceModel& model,
+                                util::Status* termination) {
+  GreedySolver greedy;
+  RandomSolver random;
+  Solver& seed = options.base_solver == BaseSolver::kGreedy
+                     ? static_cast<Solver&>(greedy)
+                     : random;
+  SES_ASSIGN_OR_RETURN(SolverResult base,
+                       seed.Solve(instance, options, context));
   for (const Assignment& a : base.assignments) {
     model.Apply(a.event, a.interval);
   }
+  *termination = std::move(base.termination);
+  return util::Status::Ok();
+}
+
+util::Result<SolveOutcome> LocalSearchSolver::DoSolve(
+    const SesInstance& instance, const SolverOptions& options,
+    const SolveContext& context) {
+  // The context is threaded through the seed, so an expiring deadline
+  // leaves a partial (still feasible) seed to improve on.
+  AttendanceModel model(instance);
+  util::Status termination;
+  SES_RETURN_IF_ERROR(
+      SeedFromBaseSolver(instance, options, context, model, &termination));
 
   util::Rng rng(options.seed ^ 0x10ca15ea5c4ed01eULL);
   MoveEngine engine(instance, model, rng);
   SolverStats stats;
-  util::Status termination = base.termination;
   const auto accept_improving = [](double delta) { return delta > 1e-12; };
   for (int64_t i = 0; termination.ok() && i < options.max_iterations; ++i) {
     if (context.CheckStop(&termination)) break;

@@ -49,6 +49,18 @@ class MoveEngine {
   util::Rng* rng_;
 };
 
+/// The seed step shared by the improvement solvers (ls, anneal): solves
+/// with options.base_solver (GRD or RAND) under \p context and replays
+/// the schedule into \p model, which must be empty. \p termination
+/// receives the seed run's termination — OK, or the deadline/cancel that
+/// cut it short (the partial seed is still feasible). Errors only when
+/// the seed solver rejects the request.
+[[nodiscard]] util::Status SeedFromBaseSolver(const SesInstance& instance,
+                                              const SolverOptions& options,
+                                              const SolveContext& context,
+                                              AttendanceModel& model,
+                                              util::Status* termination);
+
 /// Hill-climbing solver; seeds from options.base_solver (RAND or GRD).
 class LocalSearchSolver final : public Solver {
  public:

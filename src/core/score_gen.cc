@@ -92,13 +92,10 @@ ScoreShards::ScoreShards(const SolverOptions& options)
   // Transient pool for direct Solver::Solve callers without one; the
   // caller participates in shard execution, hence the -1 (also for
   // threads == 0, where "all lanes" means hardware_concurrency lanes
-  // total, not hardware_concurrency workers plus the caller). Lanes are
-  // capped at the core count: more shards than cores only adds
-  // thread-spawn cost, never speed, and an absurd threads value must not
-  // translate into that many OS threads.
-  const size_t hw = std::max<size_t>(2, std::thread::hardware_concurrency());
-  const size_t lanes =
-      max_shards_ == 0 ? hw : std::min<size_t>(max_shards_, hw);
+  // total, not hardware_concurrency workers plus the caller). At least
+  // two lanes, so a sharded request gets one worker even on one core.
+  const size_t lanes = util::CapLanes(
+      max_shards_, std::max<size_t>(2, std::thread::hardware_concurrency()));
   local_pool_ =
       std::make_unique<util::ThreadPool>(std::max<size_t>(1, lanes - 1));
   pool_ = local_pool_.get();

@@ -11,6 +11,7 @@
 #include "util/metrics.h"
 #include "util/random.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace ses::exp {
 
@@ -97,7 +98,9 @@ util::Result<BenchReport> LoadGenerator::Run() {
   const core::SesInstance& instance = *built;
 
   api::SchedulerOptions options;
-  options.num_threads = static_cast<size_t>(spec_.scheduler_threads);
+  options.num_threads =
+      util::CapLanes(static_cast<size_t>(spec_.scheduler_threads),
+                     std::thread::hardware_concurrency());
   options.max_queued_requests =
       static_cast<size_t>(spec_.max_queued_requests);
   options.expired_sweep_period_seconds = spec_.sweep_period_seconds;

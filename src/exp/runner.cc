@@ -1,122 +1,44 @@
 #include "exp/runner.h"
 
-#include <atomic>
-#include <memory>
-
-#include "api/scheduler.h"
+#include "core/registry.h"
 #include "core/validate.h"
-#include "util/logging.h"
-#include "util/string_util.h"
 
 namespace ses::exp {
 
-namespace {
+util::Result<RunRecord> RunSolver(const core::SesInstance& instance,
+                                  const std::string& solver_name,
+                                  const core::SolverOptions& options,
+                                  int64_t x) {
+  SES_ASSIGN_OR_RETURN(std::unique_ptr<core::Solver> solver,
+                       core::MakeSolver(solver_name));
+  SES_ASSIGN_OR_RETURN(core::SolverResult result,
+                       solver->Solve(instance, options));
+  // Experiment runs carry no deadline or cancel token, so a non-OK
+  // termination is a hard failure, never an interrupted run.
+  SES_RETURN_IF_ERROR(result.termination);
+  // Every schedule a solver returns must be feasible; fail loudly
+  // otherwise rather than reporting a bogus utility.
+  SES_RETURN_IF_ERROR(core::ValidateAssignments(instance, result.assignments));
 
-/// One scheduler for the whole process: RunSolvers is called from many
-/// sweep workers at once, and they should share one solver pool instead
-/// of each spawning their own. Leaked on purpose so worker shutdown
-/// never races static destruction at exit.
-api::Scheduler& SharedScheduler() {
-  static api::Scheduler* scheduler = new api::Scheduler();  // ses-lint: allow(naked-new)
-  return *scheduler;
-}
-
-/// Scoped session-cache registration of one sweep point's instance:
-/// loads under a process-unique name on construction, drops on
-/// destruction. The load is a non-owning borrow — the instance outlives
-/// the (synchronous) batch below — and makes concurrent sweep workers
-/// exercise the scheduler's multi-instance surface instead of each
-/// threading `const SesInstance&` through the fan-out.
-class ScopedSession {
- public:
-  explicit ScopedSession(const core::SesInstance& instance) {
-    static std::atomic<uint64_t> counter{0};
-    name_ = "exp/point-" + std::to_string(counter.fetch_add(1));
-    const util::Status loaded =
-        SharedScheduler().LoadInstance(name_, api::BorrowInstance(instance));
-    SES_CHECK(loaded.ok()) << loaded.ToString();
-  }
-  ~ScopedSession() {
-    SES_CHECK(SharedScheduler().Drop(name_).ok());
-  }
-  const std::string& name() const { return name_; }
-
- private:
-  std::string name_;
-};
-
-}  // namespace
-
-std::string SharedSchedulerMetricsSummary() {
-  const api::SchedulerMetrics metrics = SharedScheduler().Metrics();
-  return util::StrFormat(
-      "admitted=%llu completed=%llu refused=%llu cancelled=%llu "
-      "deadline_expired=%llu expired_in_queue=%llu "
-      "queue_depth=%lld/%lld/%lld (high/normal/batch) "
-      "session_hits=%llu session_misses=%llu loaded=%lld",
-      static_cast<unsigned long long>(metrics.admitted),
-      static_cast<unsigned long long>(metrics.completed),
-      static_cast<unsigned long long>(metrics.refused),
-      static_cast<unsigned long long>(metrics.cancelled),
-      static_cast<unsigned long long>(metrics.deadline_expired),
-      static_cast<unsigned long long>(metrics.deadline_expired_in_queue),
-      static_cast<long long>(metrics.queue_depth[0]),
-      static_cast<long long>(metrics.queue_depth[1]),
-      static_cast<long long>(metrics.queue_depth[2]),
-      static_cast<unsigned long long>(metrics.session_hits),
-      static_cast<unsigned long long>(metrics.session_misses),
-      static_cast<long long>(metrics.loaded_instances));
+  RunRecord record;
+  record.solver = solver_name;
+  record.x = x;
+  record.utility = result.utility;
+  record.gain_evaluations = result.stats.gain_evaluations;
+  record.assignments = result.assignments.size();
+  record.measurement.seconds = result.wall_seconds;
+  return record;
 }
 
 util::Result<std::vector<RunRecord>> RunSolvers(
     const core::SesInstance& instance,
     const std::vector<std::string>& solver_names,
-    const core::SolverOptions& options, int64_t x,
-    SolverExecution execution) {
-  std::vector<api::SolveRequest> requests;
-  requests.reserve(solver_names.size());
-  for (const std::string& name : solver_names) {
-    api::SolveRequest request;
-    request.solver = name;
-    request.options = options;
-    // Sweep work is throughput traffic: it must never delay a
-    // latency-sensitive request sharing the process-wide scheduler.
-    request.priority = api::Priority::kBatch;
-    requests.push_back(std::move(request));
-  }
-
-  std::vector<api::SolveResponse> responses;
-  if (execution == SolverExecution::kParallel) {
-    const ScopedSession session(instance);
-    responses = SharedScheduler().SolveBatch(session.name(), requests);
-  } else {
-    // Timing-clean reference: inline on this thread, no pool involved.
-    responses.reserve(requests.size());
-    for (const api::SolveRequest& request : requests) {
-      responses.push_back(SharedScheduler().Solve(instance, request));
-    }
-  }
-
+    const core::SolverOptions& options, int64_t x) {
   std::vector<RunRecord> records;
-  records.reserve(responses.size());
-  for (size_t i = 0; i < responses.size(); ++i) {
-    api::SolveResponse& response = responses[i];
-    // Experiment requests carry no deadline or token, so any non-OK
-    // status is a hard failure, never an interrupted run.
-    if (!response.status.ok()) return response.status;
-
-    // Every schedule a solver returns must be feasible; fail loudly
-    // otherwise rather than reporting a bogus utility.
-    SES_RETURN_IF_ERROR(
-        core::ValidateAssignments(instance, response.schedule));
-
-    RunRecord record;
-    record.solver = solver_names[i];
-    record.x = x;
-    record.utility = response.utility;
-    record.gain_evaluations = response.stats.gain_evaluations;
-    record.assignments = response.schedule.size();
-    record.measurement.seconds = response.wall_seconds;
+  records.reserve(solver_names.size());
+  for (const std::string& name : solver_names) {
+    SES_ASSIGN_OR_RETURN(RunRecord record,
+                         RunSolver(instance, name, options, x));
     records.push_back(std::move(record));
   }
   return records;

@@ -2,16 +2,11 @@
 #define SES_EXP_RUNNER_H_
 
 /// \file
-/// Experiment runner: executes a set of solvers on workload sweep points
-/// and collects per-run measurements — the machinery behind every figure
-/// reproduction in bench/.
-///
-/// RunSolvers is a thin adapter over api::Scheduler::SolveBatch: the
-/// per-point solver loop fans out across a process-shared scheduler pool
-/// and the records come back in solver-list order. The parallel path
-/// registers each sweep point's instance in the scheduler's session
-/// cache (LoadInstance / solve-by-id / Drop) at Batch priority, so
-/// sweeps coexist with latency-sensitive traffic on the same scheduler.
+/// Experiment runner: executes a set of solvers on one workload and
+/// collects per-run measurements — the machinery behind every figure
+/// reproduction in bench/. Solvers are called directly
+/// (core::MakeSolver -> Solve -> ValidateAssignments); exp::RunSweep
+/// (exp/sweep.h) fans this across sweep points.
 
 #include <string>
 #include <vector>
@@ -45,33 +40,19 @@ struct RunRecord {
   RunMeasurement measurement;
 };
 
-/// How RunSolvers executes the solvers of one sweep point.
-enum class SolverExecution {
-  /// Fan out across the shared api::Scheduler pool (SolveBatch). The
-  /// comparable record fields are unaffected, but per-solver
-  /// `measurement.seconds` is taken under multi-core contention.
-  kParallel,
-  /// One after another on the calling thread — the timing-clean
-  /// reference path; RunSweepSerial (--jobs=1) uses this.
-  kSequential,
-};
+/// Runs solver \p solver_name once on \p instance with \p options and
+/// validates the returned schedule; \p x tags the record with the sweep
+/// coordinate. Unknown solvers fail with kNotFound.
+[[nodiscard]] util::Result<RunRecord> RunSolver(
+    const core::SesInstance& instance, const std::string& solver_name,
+    const core::SolverOptions& options, int64_t x);
 
-/// Runs each named solver once on \p instance with \p options, validating
-/// every returned schedule. \p x tags the records with the sweep
-/// coordinate; records are returned in solver-list order regardless of
-/// \p execution.
+/// RunSolver for each named solver in turn, on the calling thread;
+/// records come back in solver-list order.
 [[nodiscard]] util::Result<std::vector<RunRecord>> RunSolvers(
     const core::SesInstance& instance,
     const std::vector<std::string>& solver_names,
-    const core::SolverOptions& options, int64_t x,
-    SolverExecution execution = SolverExecution::kParallel);
-
-/// One-line summary of the process-shared scheduler's metrics —
-/// completions, queue activity, session-cache traffic. The counters are
-/// cumulative over the process lifetime (the scheduler is shared by
-/// every RunSolvers call), so sweep runners log it once per sweep to
-/// show the delta trend. See docs/METRICS.md for the full registry.
-std::string SharedSchedulerMetricsSummary();
+    const core::SolverOptions& options, int64_t x);
 
 }  // namespace ses::exp
 

@@ -1,12 +1,99 @@
 #include "exp/sweep.h"
 
+#include <atomic>
 #include <map>
+#include <optional>
+#include <span>
+#include <thread>
+#include <utility>
 
-#include "exp/parallel_sweep.h"
-#include "exp/runner.h"
+#include "util/logging.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace ses::exp {
+
+namespace {
+
+/// Builds \p point's instance and runs every solver on it into
+/// \p records (one slot per solver). With a \p pool, the solvers fan
+/// out on it (ParallelFor is re-entrant, so this is safe from inside a
+/// pool task) and solvers with options.threads != 1 shard score
+/// generation on it too; without one, everything runs inline. Returns
+/// the lowest-index solver error.
+util::Status RunPoint(const WorkloadFactory& factory, const SweepPoint& point,
+                      const std::vector<std::string>& solvers,
+                      util::ThreadPool* pool, std::span<RunRecord> records) {
+  SES_ASSIGN_OR_RETURN(const core::SesInstance instance,
+                       factory.Build(point.config));
+  core::SolverOptions options = point.options;
+  if (pool != nullptr && options.threads != 1) options.pool = pool;
+  std::vector<util::Status> statuses(solvers.size());
+  const auto run = [&](size_t s) {
+    auto record = RunSolver(instance, solvers[s], options, point.x);
+    if (record.ok()) {
+      records[s] = std::move(record).value();
+    } else {
+      statuses[s] = record.status();
+    }
+  };
+  if (pool == nullptr) {
+    for (size_t s = 0; s < solvers.size(); ++s) run(s);
+  } else {
+    pool->ParallelFor(0, solvers.size(), run);
+  }
+  for (const util::Status& status : statuses) SES_RETURN_IF_ERROR(status);
+  SES_LOG(kInfo) << "sweep x=" << point.x << " done";
+  return util::Status::Ok();
+}
+
+}  // namespace
+
+util::Result<std::vector<RunRecord>> RunSweep(
+    const WorkloadFactory& factory, const std::vector<SweepPoint>& points,
+    const std::vector<std::string>& solvers, size_t jobs) {
+  // Point i owns records [i * n, (i + 1) * n), so output order is
+  // independent of completion order.
+  const size_t n = solvers.size();
+  std::vector<RunRecord> records(points.size() * n);
+  const auto slots = [&records, n](size_t i) {
+    return std::span<RunRecord>(records).subspan(i * n, n);
+  };
+  if (jobs == 1) {
+    for (size_t i = 0; i < points.size(); ++i) {
+      SES_RETURN_IF_ERROR(
+          RunPoint(factory, points[i], solvers, nullptr, slots(i)));
+    }
+    return records;
+  }
+
+  util::ThreadPool pool(
+      util::CapLanes(jobs, std::thread::hardware_concurrency()));
+  // Per-point outcome; empty when the point was skipped. The first
+  // failure skips points that have not started yet. The pre-task check
+  // races with other workers' stores, so a skipped point is not
+  // guaranteed a lower-index failed predecessor — the scan below
+  // therefore returns the lowest-index *recorded* error.
+  std::vector<std::optional<util::Status>> outcomes(points.size());
+  std::atomic<bool> failed{false};
+  // One task per point (rather than ParallelFor's contiguous shards):
+  // sweep points have very uneven cost — k=500 dwarfs k=100 — and FIFO
+  // task pickup balances that across workers.
+  for (size_t i = 0; i < points.size(); ++i) {
+    pool.Submit([&, i] {
+      if (failed.load(std::memory_order_relaxed)) return;
+      util::Status status =
+          RunPoint(factory, points[i], solvers, &pool, slots(i));
+      if (!status.ok()) failed.store(true, std::memory_order_relaxed);
+      outcomes[i] = std::move(status);
+    });
+  }
+  pool.Wait();
+  for (const std::optional<util::Status>& outcome : outcomes) {
+    if (outcome.has_value()) SES_RETURN_IF_ERROR(*outcome);
+  }
+  return records;
+}
 
 util::Result<std::vector<SweepCell>> RunRepeatedSweep(
     const WorkloadFactory& factory, const std::vector<int64_t>& xs,
@@ -38,8 +125,8 @@ util::Result<std::vector<SweepCell>> RunRepeatedSweep(
   auto records = RunSweep(factory, points, solvers, num_threads);
   if (!records.ok()) return records.status();
 
-  // Records arrive in point order, so samples accumulate exactly as the
-  // old serial loop pushed them.
+  // Records arrive in point order, so samples accumulate in the same
+  // order at every worker count.
   std::map<std::pair<int64_t, std::string>,
            std::pair<std::vector<double>, std::vector<double>>>
       samples;

@@ -2,20 +2,58 @@
 #define SES_EXP_SWEEP_H_
 
 /// \file
-/// Repeated-measurement sweeps: run each sweep point on several workload
-/// seeds and aggregate utility/time into summary statistics, so figure
-/// series carry error bars instead of single draws.
+/// Experiment sweeps: RunSweep runs solvers over a list of sweep points
+/// (serially, or on one util::ThreadPool), and RunRepeatedSweep repeats
+/// each point on several workload seeds and aggregates utility/time into
+/// summary statistics, so figure series carry error bars instead of
+/// single draws.
+///
+/// Determinism contract: for a fixed point list, RunSweep returns the
+/// same records at every `jobs` value, in the same order. Every
+/// comparable RunRecord field is reproducible; only the wall-clock
+/// `measurement` differs. Each point carries its own workload seed and
+/// solver seed, so no state leaks between points; WorkloadFactory::Build
+/// is thread-safe (per-thread interest scratch), so instance
+/// construction and solver runs all proceed concurrently.
 
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "core/solver.h"
+#include "exp/runner.h"
 #include "exp/workload.h"
 #include "util/stats.h"
 #include "util/status.h"
 
 namespace ses::exp {
+
+/// One independent unit of sweep work: a workload to build and the solver
+/// options to run on it, tagged with the sweep coordinate \p x.
+struct SweepPoint {
+  PaperWorkloadConfig config;
+  core::SolverOptions options;
+  int64_t x = 0;
+};
+
+/// Builds each point's instance via \p factory and runs \p solvers on it.
+/// Records come back in point order, then solver order.
+///
+/// \p jobs is the total lane count, capped at the core count
+/// (util::CapLanes; 0 = every core). `jobs == 1` runs everything inline
+/// on the calling thread — the timing-clean reference path. Any other
+/// value runs one task per point on one util::ThreadPool, fans each
+/// point's solvers out on the same pool, and lends that pool to solvers
+/// whose options.threads != 1.
+///
+/// On error, returns the lowest-index recorded failure and skips points
+/// that have not started. Which of several doomed points records its
+/// error first can depend on timing, so treat the returned status as
+/// diagnostic (the success path stays reproducible).
+[[nodiscard]] util::Result<std::vector<RunRecord>> RunSweep(
+    const WorkloadFactory& factory, const std::vector<SweepPoint>& points,
+    const std::vector<std::string>& solvers, size_t jobs);
 
 /// Aggregated measurements of one (sweep coordinate, solver) cell.
 struct SweepCell {
@@ -33,11 +71,11 @@ using ConfigFactory =
 /// distinct seeds, and aggregates per (x, solver).
 ///
 /// The solver's k is taken from the generated config's k. The (x, rep)
-/// cells run concurrently on a ParallelSweepRunner with \p num_threads
-/// workers (0 = hardware concurrency; the default of 1 keeps existing
-/// callers serial so parallelism — which perturbs the `seconds`
-/// aggregates under CPU contention — stays opt-in). Per-cell seeding
-/// makes the utility aggregates identical for every worker count.
+/// cells are RunSweep points run with \p num_threads as its `jobs`
+/// (0 = every core; the default of 1 keeps existing callers serial so
+/// parallelism — which perturbs the `seconds` aggregates under CPU
+/// contention — stays opt-in). Per-cell seeding makes the utility
+/// aggregates identical for every worker count.
 /// \p solver_threads is forwarded to SolverOptions::threads
 /// (grd/lazy/top/bestfit score-generation shards); utility aggregates
 /// are bit-identical at any value.

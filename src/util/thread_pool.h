@@ -25,6 +25,17 @@
 
 namespace ses::util {
 
+/// Lane count for a user-supplied thread knob (`--jobs`, a trace's
+/// `scheduler.threads`, SolverOptions::threads): 0 means every core, N
+/// means min(N, cores). \p hardware is the core count, normally
+/// std::thread::hardware_concurrency(); 0 ("unknown") counts as one
+/// core. Lanes beyond the cores only add spawn cost, and an absurd knob
+/// value must never become that many OS threads.
+constexpr size_t CapLanes(size_t requested, size_t hardware) {
+  const size_t cores = hardware == 0 ? 1 : hardware;
+  return requested == 0 || requested > cores ? cores : requested;
+}
+
 /// A fixed set of worker threads consuming a FIFO task queue.
 class ThreadPool {
  public:

@@ -183,5 +183,30 @@ TEST(ThreadPoolTest, ParallelForShardsHonorsMaxShards) {
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
+// CapLanes is pure: these cases never build a pool, so the huge
+// requested values below start no thread.
+TEST(CapLanesTest, ZeroMeansEveryCore) {
+  EXPECT_EQ(CapLanes(0, 1), 1u);
+  EXPECT_EQ(CapLanes(0, 4), 4u);
+}
+
+TEST(CapLanesTest, SmallRequestsPassThrough) {
+  EXPECT_EQ(CapLanes(1, 1), 1u);
+  EXPECT_EQ(CapLanes(1, 4), 1u);
+  EXPECT_EQ(CapLanes(4, 4), 4u);
+}
+
+TEST(CapLanesTest, RequestsBeyondTheCoresAreCapped) {
+  EXPECT_EQ(CapLanes(2, 1), 1u);
+  EXPECT_EQ(CapLanes(5, 4), 4u);
+  EXPECT_EQ(CapLanes(2147483647, 1), 1u);
+  EXPECT_EQ(CapLanes(2147483647, 4), 4u);
+}
+
+TEST(CapLanesTest, UnknownHardwareCountsAsOneCore) {
+  EXPECT_EQ(CapLanes(0, 0), 1u);
+  EXPECT_EQ(CapLanes(8, 0), 1u);
+}
+
 }  // namespace
 }  // namespace ses::util

@@ -17,7 +17,8 @@ Token rules:
   layering              src/ include-layering matrix: util includes
                         nothing above it, core -> util only, ebsn ->
                         core/util, api -> core/util, exp -> anything
-                        (its RunSolvers is a documented client of api).
+                        (its LoadGenerator is a documented client of
+                        api).
   determinism-clock     no wall-clock reads (std::chrono clocks,
                         time()/clock()/gettimeofday) in src/core or
                         src/ebsn outside core/solve_context.h — solver
@@ -112,9 +113,9 @@ import sys
 
 # Layer -> layers it may include (by the first path component of a
 # quoted include). tests/bench/tools/examples may use everything and are
-# exempt. exp legitimately includes api (exp::RunSolvers and the
-# trace-replay exp::LoadGenerator are documented clients of
-# api::Scheduler; see docs/ARCHITECTURE.md "Layer map").
+# exempt. exp legitimately includes api (the trace-replay
+# exp::LoadGenerator is the one documented client of api::Scheduler;
+# see docs/ARCHITECTURE.md "Layer map").
 LAYERS = ("util", "core", "ebsn", "exp", "api")
 ALLOWED_INCLUDES = {
     "util": {"util"},
@@ -324,8 +325,7 @@ class Linter:
             return
         self.problems.append(finding(rel, lineno, rule, message))
 
-    def lint_file(self, rel, text):
-        code, raw = strip_code(text)
+    def lint_file(self, rel, code, raw):
 
         in_src = rel.startswith("src/")
         layer = rel.split("/")[1] if in_src and rel.count("/") >= 2 else None
@@ -1654,8 +1654,8 @@ def main(argv):
         except (OSError, UnicodeDecodeError) as err:
             linter.problems.append(finding(rel, 0, "unreadable", str(err)))
             continue
-        linter.lint_file(rel, text)
         code, raw = strip_code(text)
+        linter.lint_file(rel, code, raw)
         contents[rel] = code
         raws[rel] = raw
         if rel.startswith("src/") and rel not in FLOW_EXEMPT:
