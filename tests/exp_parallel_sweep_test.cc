@@ -1,5 +1,3 @@
-#include "exp/parallel_sweep.h"
-
 #include <gtest/gtest.h>
 
 #include "ebsn/generator.h"
@@ -38,86 +36,22 @@ std::vector<SweepPoint> MakePoints(const std::vector<int64_t>& ks) {
 }
 
 /// Everything but the wall-clock `seconds` measurement must match
-/// bitwise between the serial and parallel paths.
+/// bitwise between the serial and pooled paths.
 void ExpectSameRecords(const std::vector<RunRecord>& serial,
-                       const std::vector<RunRecord>& parallel) {
-  ASSERT_EQ(serial.size(), parallel.size());
+                       const std::vector<RunRecord>& pooled) {
+  ASSERT_EQ(serial.size(), pooled.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE(i);
-    EXPECT_EQ(serial[i].solver, parallel[i].solver);
-    EXPECT_EQ(serial[i].x, parallel[i].x);
-    EXPECT_EQ(serial[i].utility, parallel[i].utility);
-    EXPECT_EQ(serial[i].gain_evaluations, parallel[i].gain_evaluations);
-    EXPECT_EQ(serial[i].assignments, parallel[i].assignments);
+    EXPECT_EQ(serial[i].solver, pooled[i].solver);
+    EXPECT_EQ(serial[i].x, pooled[i].x);
+    EXPECT_EQ(serial[i].utility, pooled[i].utility);
+    EXPECT_EQ(serial[i].gain_evaluations, pooled[i].gain_evaluations);
+    EXPECT_EQ(serial[i].assignments, pooled[i].assignments);
   }
 }
 
-TEST(ParallelSweepTest, MatchesSerialPathMultiSolver) {
-  WorkloadFactory factory(SweepDataset());
-  const std::vector<std::string> solvers{"grd", "top", "rand", "bestfit"};
-  const auto points = MakePoints({4, 6, 8, 10, 12, 14});
-
-  auto serial = RunSweepSerial(factory, points, solvers);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_EQ(serial->size(), points.size() * solvers.size());
-
-  ParallelSweepRunner runner(4);
-  auto parallel = runner.Run(factory, points, solvers);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  ExpectSameRecords(*serial, *parallel);
-}
-
-TEST(ParallelSweepTest, RepeatedParallelRunsAreStable) {
-  WorkloadFactory factory(SweepDataset());
-  const std::vector<std::string> solvers{"grd", "rand"};
-  const auto points = MakePoints({5, 9, 13});
-
-  ParallelSweepRunner runner(3);
-  auto first = runner.Run(factory, points, solvers);
-  ASSERT_TRUE(first.ok());
-  // Same runner, same points: the pool must be reusable and the records
-  // reproducible run over run.
-  auto second = runner.Run(factory, points, solvers);
-  ASSERT_TRUE(second.ok());
-  ExpectSameRecords(*first, *second);
-}
-
-TEST(ParallelSweepTest, MorePointsThanWorkers) {
-  WorkloadFactory factory(SweepDataset());
-  const std::vector<std::string> solvers{"rand"};
-  std::vector<int64_t> ks;
-  for (int64_t k = 2; k < 34; ++k) ks.push_back(k);
-  const auto points = MakePoints(ks);
-
-  ParallelSweepRunner runner(2);
-  auto parallel = runner.Run(factory, points, solvers);
-  ASSERT_TRUE(parallel.ok());
-  auto serial = RunSweepSerial(factory, points, solvers);
-  ASSERT_TRUE(serial.ok());
-  ExpectSameRecords(*serial, *parallel);
-}
-
-TEST(ParallelSweepTest, ErrorPropagatesDeterministically) {
-  WorkloadFactory factory(SweepDataset());
-  auto points = MakePoints({4, 6});
-  ParallelSweepRunner runner(2);
-  auto result = runner.Run(factory, points, {"grd", "bogus"});
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kNotFound);
-}
-
-TEST(ParallelSweepTest, SingleWorkerPoolWorks) {
-  WorkloadFactory factory(SweepDataset());
-  const auto points = MakePoints({4, 8});
-  ParallelSweepRunner runner(1);
-  auto result = runner.Run(factory, points, {"grd"});
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->size(), 2u);
-}
-
-TEST(ParallelSweepTest, RepeatedSweepAggregatesMatchSerial) {
-  WorkloadFactory factory(SweepDataset());
-  auto make_config = [](int64_t x, uint64_t seed) {
+ConfigFactory KSweepConfig() {
+  return [](int64_t x, uint64_t seed) {
     PaperWorkloadConfig config;
     config.k = x;
     config.competing_mean = 2.0;
@@ -125,24 +59,118 @@ TEST(ParallelSweepTest, RepeatedSweepAggregatesMatchSerial) {
     config.seed = seed;
     return config;
   };
-  auto serial = RunRepeatedSweep(factory, {5, 10}, make_config,
+}
+
+TEST(RunSweepTest, PooledMatchesSerialMultiSolver) {
+  WorkloadFactory factory(SweepDataset());
+  const std::vector<std::string> solvers{"grd", "top", "rand", "bestfit"};
+  const auto points = MakePoints({4, 6, 8, 10, 12, 14});
+
+  auto serial = RunSweep(factory, points, solvers, /*jobs=*/1);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_EQ(serial->size(), points.size() * solvers.size());
+  // Point order, then solver order.
+  EXPECT_EQ((*serial)[0].x, 4);
+  EXPECT_EQ((*serial)[0].solver, "grd");
+  EXPECT_EQ((*serial)[solvers.size() + 3].x, 6);
+  EXPECT_EQ((*serial)[solvers.size() + 3].solver, "bestfit");
+
+  auto pooled = RunSweep(factory, points, solvers, /*jobs=*/4);
+  ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+  ExpectSameRecords(*serial, *pooled);
+}
+
+TEST(RunSweepTest, SolverShardsOnTheSweepPoolMatchSerial) {
+  WorkloadFactory factory(SweepDataset());
+  const std::vector<std::string> solvers{"grd", "top", "bestfit", "lazy"};
+  auto points = MakePoints({6, 10, 14});
+  auto serial = RunSweep(factory, points, solvers, /*jobs=*/1);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+
+  // options.threads != 1 borrows the sweep's own pool for score shards.
+  for (SweepPoint& point : points) point.options.threads = 4;
+  auto sharded = RunSweep(factory, points, solvers, /*jobs=*/4);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ExpectSameRecords(*serial, *sharded);
+}
+
+TEST(RunSweepTest, RepeatedPooledRunsAreStable) {
+  WorkloadFactory factory(SweepDataset());
+  const std::vector<std::string> solvers{"grd", "rand"};
+  const auto points = MakePoints({5, 9, 13});
+
+  auto first = RunSweep(factory, points, solvers, /*jobs=*/3);
+  ASSERT_TRUE(first.ok());
+  auto second = RunSweep(factory, points, solvers, /*jobs=*/3);
+  ASSERT_TRUE(second.ok());
+  ExpectSameRecords(*first, *second);
+}
+
+TEST(RunSweepTest, MorePointsThanWorkers) {
+  WorkloadFactory factory(SweepDataset());
+  const std::vector<std::string> solvers{"rand"};
+  std::vector<int64_t> ks;
+  for (int64_t k = 2; k < 34; ++k) ks.push_back(k);
+  const auto points = MakePoints(ks);
+
+  auto pooled = RunSweep(factory, points, solvers, /*jobs=*/2);
+  ASSERT_TRUE(pooled.ok());
+  auto serial = RunSweep(factory, points, solvers, /*jobs=*/1);
+  ASSERT_TRUE(serial.ok());
+  ExpectSameRecords(*serial, *pooled);
+}
+
+TEST(RunSweepTest, AllCoresDefaultWorks) {
+  WorkloadFactory factory(SweepDataset());
+  const auto points = MakePoints({4, 8});
+  auto result = RunSweep(factory, points, {"grd"}, /*jobs=*/0);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->size(), 2u);
+}
+
+TEST(RunSweepTest, UnknownSolverIsNotFound) {
+  WorkloadFactory factory(SweepDataset());
+  const auto points = MakePoints({4, 6});
+  for (size_t jobs : {1u, 2u}) {
+    SCOPED_TRACE(jobs);
+    auto result = RunSweep(factory, points, {"grd", "bogus"}, jobs);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), util::StatusCode::kNotFound);
+  }
+}
+
+TEST(RunSweepTest, BuildFailureStatusMatchesAcrossJobs) {
+  WorkloadFactory factory(SweepDataset());
+  auto points = MakePoints({4, 6, 8, 10, 12});
+  points[2].config.k = 0;  // WorkloadFactory::Build rejects this point
+  auto serial = RunSweep(factory, points, {"grd", "rand"}, /*jobs=*/1);
+  ASSERT_FALSE(serial.ok());
+  EXPECT_EQ(serial.status().code(), util::StatusCode::kInvalidArgument);
+  auto pooled = RunSweep(factory, points, {"grd", "rand"}, /*jobs=*/4);
+  ASSERT_FALSE(pooled.ok());
+  EXPECT_EQ(pooled.status().ToString(), serial.status().ToString());
+}
+
+TEST(RunSweepTest, RepeatedSweepAggregatesMatchSerial) {
+  WorkloadFactory factory(SweepDataset());
+  auto serial = RunRepeatedSweep(factory, {5, 10}, KSweepConfig(),
                                  {"grd", "rand"}, 3, 17,
                                  /*num_threads=*/1);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  auto parallel = RunRepeatedSweep(factory, {5, 10}, make_config,
-                                   {"grd", "rand"}, 3, 17,
-                                   /*num_threads=*/4);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  ASSERT_EQ(serial->size(), parallel->size());
+  auto pooled = RunRepeatedSweep(factory, {5, 10}, KSweepConfig(),
+                                 {"grd", "rand"}, 3, 17,
+                                 /*num_threads=*/4);
+  ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+  ASSERT_EQ(serial->size(), pooled->size());
   for (size_t i = 0; i < serial->size(); ++i) {
     SCOPED_TRACE(i);
-    EXPECT_EQ((*serial)[i].x, (*parallel)[i].x);
-    EXPECT_EQ((*serial)[i].solver, (*parallel)[i].solver);
+    EXPECT_EQ((*serial)[i].x, (*pooled)[i].x);
+    EXPECT_EQ((*serial)[i].solver, (*pooled)[i].solver);
     // Utility aggregates accumulate in the same order on both paths, so
     // the floating-point results are bitwise identical.
-    EXPECT_EQ((*serial)[i].utility.mean, (*parallel)[i].utility.mean);
-    EXPECT_EQ((*serial)[i].utility.stddev, (*parallel)[i].utility.stddev);
-    EXPECT_EQ((*serial)[i].utility.count, (*parallel)[i].utility.count);
+    EXPECT_EQ((*serial)[i].utility.mean, (*pooled)[i].utility.mean);
+    EXPECT_EQ((*serial)[i].utility.stddev, (*pooled)[i].utility.stddev);
+    EXPECT_EQ((*serial)[i].utility.count, (*pooled)[i].utility.count);
   }
 }
 
